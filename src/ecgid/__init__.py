@@ -64,8 +64,6 @@ from .classify import (
     SvmModel,
     accuracy,
     knn_predict,
-    load_svm_model,
-    save_svm_model,
     svm_predict,
     svm_train,
 )
@@ -97,7 +95,7 @@ __all__ = [
     "SelectionWeights", "apply_selection", "kl_sym", "pca_fit",
     "pca_transform", "select_features",
     "PredictionResult", "SvmModel", "accuracy", "knn_predict",
-    "load_svm_model", "save_svm_model", "svm_predict", "svm_train",
+    "svm_predict", "svm_train",
     "ExperimentReport", "PipelineConfig", "parse_config", "render_report",
     "run_pipeline", "split_protocol", "sweep_top_n",
 ]

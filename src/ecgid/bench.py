@@ -233,11 +233,14 @@ def _manifest(cache, manifest_path):
 
 def _record(cache, manifest_path, sid, cond):
     path = os.path.abspath(manifest_path)
-    man = _manifest(cache, manifest_path)
-    rel = {(s, c): r for (s, c, r, _) in man.entries}[(sid, cond)]
-    full = os.path.join(os.path.dirname(path), rel)
-    return _cache_get(cache, ("record", path, sid, cond),
-                      lambda: load_record(full, sid, cond))
+
+    def build():
+        for s, c, rel, _ in _manifest(cache, manifest_path).entries:
+            if (s, c) == (sid, cond):
+                full = os.path.join(os.path.dirname(path), rel)
+                return load_record(full, sid, cond)
+        raise EmptyCohort("manifest has no %s/%s record" % (sid, cond))
+    return _cache_get(cache, ("record", path, sid, cond), build)
 
 
 def _preprocessed(cache, manifest_path, sid, cond, lo, hi):
@@ -343,19 +346,25 @@ def aux_eval_split(subjects, seed):
     return tuple(aux), tuple(eval_)
 
 
+def featurize_cohort(manifest_path, config, entries, cache=None):
+    """Stage features of the given (subject, condition) records, stacked in
+    the given order; rows are chronological per record and the matrix's
+    `skipped` sums the records' skipped beats."""
+    return _features.concat_matrices([
+        _record_stage_matrix(cache, manifest_path, sid, cond, config)
+        for sid, cond in entries])
+
+
 def cohort_matrix(manifest_path, config, protocol, seed, cache=None):
-    """Featurize every required record and stack the rows.
+    """Featurize every record a run needs and stack the rows.
 
     Returns (matrix, skipped_beats). Rows are chronological per record;
     records are ordered by (subject, condition).
     """
-    man = _manifest(cache, manifest_path)
-    parts = []
-    for sid, cond in _required_entries(man, protocol, config, seed):
-        parts.append(_record_stage_matrix(cache, manifest_path, sid, cond,
-                                          config))
-    matrix = _features.concat_matrices(parts)
-    return matrix, int(sum(p.skipped for p in parts))
+    entries = _required_entries(_manifest(cache, manifest_path), protocol,
+                                config, seed)
+    matrix = featurize_cohort(manifest_path, config, entries, cache)
+    return matrix, int(matrix.skipped)
 
 
 # ===== fitting and prediction =============================================
@@ -372,7 +381,7 @@ class FittedState:
     knn_train: object = None
 
 
-def fit_pipeline_state(train, config, seed, selection=None):
+def fit_pipeline_state(train, config, selection=None):
     """Fit z-score, PCA, and the classifier on training rows only."""
     m = train
     zparams = None
@@ -386,8 +395,7 @@ def fit_pipeline_state(train, config, seed, selection=None):
     if config.classifier == "svm":
         model = _classify.svm_train(m, c=config.c, gamma=config.gamma,
                                     tol=config.tol,
-                                    max_epochs=config.max_epochs,
-                                    seed=derive_seed("svm", seed))
+                                    max_epochs=config.max_epochs)
         return FittedState(config, selection, zparams, pmodel, model, None)
     return FittedState(config, selection, zparams, pmodel, None, m)
 
@@ -430,10 +438,12 @@ def state_fingerprint(state):
         put("pca.comp", state.pca.components[:state.pca.k])
         h.update(b"pca.k%d" % state.pca.k)
     if state.svm is not None:
+        # every training row once; each pair names its rows by index
+        put("sv", state.svm.sv_matrix)
         for pair in state.svm.pairs:
             h.update(("pair:%s|%s" % (pair.label_pos, pair.label_neg))
                      .encode("utf-8"))
-            put("sv", state.svm.support_rows(pair))
+            put("sv_idx", pair.sv_idx)
             put("coef", pair.coef)
             put("bias", np.array([pair.bias]))
     if state.knn_train is not None:
@@ -508,7 +518,8 @@ def run_pipeline(manifest_path, config, protocol, seed, cache=None):
     protocol : str
         One of rest_rest, ex_first70, ex_last70, rest_ex.
     seed : int
-        Seeds the auxiliary split and the SVM working-set order.
+        Seeds the auxiliary/evaluation subject split of the fused_kl stage
+        and is recorded in the report; no other step of a run is random.
     cache : dict, optional
         Reused across runs to share loaded records, detections, and stage
         features; holds no fitted state, so sharing cannot leak.
@@ -534,7 +545,7 @@ def run_pipeline(manifest_path, config, protocol, seed, cache=None):
         matrix = _select.apply_selection(selection,
                                          _features.take_rows(matrix, eval_rows))
     split = split_protocol(matrix, protocol)
-    state = fit_pipeline_state(split.train, config, seed, selection)
+    state = fit_pipeline_state(split.train, config, selection)
     train_pred = predict_with_state(state, split.train)
     test_pred = predict_with_state(state, split.test)
     converged = state.svm.all_converged if state.svm is not None else True

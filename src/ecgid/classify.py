@@ -18,9 +18,7 @@ from .errors import (
     DimensionMismatch,
     InvariantViolation,
     LengthMismatch,
-    MalformedFile,
 )
-from .features import FeatureMatrix
 
 ALPHA_EPS = 1e-12
 TAU = 1e-12  # floor on the pair curvature a, as in LIBSVM
@@ -76,7 +74,7 @@ def _kkt_violation(alpha, y, err, c, eps=ALPHA_EPS):
     return float(np.max(v))
 
 
-def smo_solve(gram, y, c=100.0, tol=1e-3, max_epochs=200, rng=None):
+def smo_solve(gram, y, c=100.0, tol=1e-3, max_epochs=200):
     """Maximize the soft-margin SVM dual over a precomputed Gram matrix.
 
     Each update optimizes one pair of multipliers analytically. The pair is
@@ -99,8 +97,6 @@ def smo_solve(gram, y, c=100.0, tol=1e-3, max_epochs=200, rng=None):
         Stop once max g over I_up minus min g over I_low falls below tol.
     max_epochs : int
         Budget of max_epochs * n pair updates.
-    rng : numpy Generator, optional
-        Accepted for call compatibility; it does not affect the result.
 
     Returns
     -------
@@ -198,9 +194,6 @@ class SvmModel:
             if np.any(np.abs(pair.coef) > self.c * (1 + 1e-9)):
                 raise InvariantViolation("dual coefficients must lie in [0, c]")
 
-    def support_rows(self, pair):
-        return self.sv_matrix[pair.sv_idx]
-
     @property
     def dim(self):
         return self.sv_matrix.shape[1]
@@ -234,7 +227,7 @@ def canonical_order(values, labels):
                   key=lambda i: (labels[i], digests[i], i))
 
 
-def svm_train(m, c=100.0, gamma=1.0, tol=1e-3, max_epochs=200, seed=0):
+def svm_train(m, c=100.0, gamma=1.0, tol=1e-3, max_epochs=200):
     """Train a one-vs-one RBF SVM on the rows of ``m``.
 
     Parameters
@@ -246,9 +239,6 @@ def svm_train(m, c=100.0, gamma=1.0, tol=1e-3, max_epochs=200, seed=0):
     tol, max_epochs : SMO stopping controls
         tol bounds each pair's KKT violation; max_epochs * n caps the pair
         updates of a binary problem with n rows.
-    seed : int
-        Accepted for call compatibility; the deterministic solver does not
-        use it, so it does not affect the model.
 
     Returns
     -------
@@ -287,9 +277,6 @@ def svm_decision_values(model, values):
     k = rbf_kernel(values, model.sv_matrix, model.gamma)
     out = np.zeros((values.shape[0], len(model.pairs)))
     for col, pair in enumerate(model.pairs):
-        if pair.sv_idx.size == 0:
-            out[:, col] = pair.bias
-            continue
         out[:, col] = k[:, pair.sv_idx] @ pair.coef + pair.bias
     return out
 
@@ -326,16 +313,15 @@ def knn_predict(train, test, k=1):
     if not 1 <= k <= train.n_rows:
         raise InvariantViolation("k must lie in [1, n_train]")
     classes = tuple(sorted(set(train.subject_ids)))
-    d2 = squared_distances(test.values, train.values)
-    votes = np.zeros((test.n_rows, len(classes)), dtype=int)
     col_of = {cls: i for i, cls in enumerate(classes)}
-    pred = []
-    for row in range(test.n_rows):
-        near = np.lexsort((np.arange(train.n_rows), d2[row]))[:k]
-        for idx in near:
-            votes[row, col_of[train.subject_ids[idx]]] += 1
-        pred.append(classes[int(np.argmax(votes[row]))])
-    return PredictionResult(tuple(pred), votes, classes)
+    train_cols = np.array([col_of[s] for s in train.subject_ids])
+    # a stable sort keeps distance ties in ascending train-row order
+    near = np.argsort(squared_distances(test.values, train.values), axis=1,
+                      kind="stable")[:, :k]
+    votes = np.zeros((test.n_rows, len(classes)), dtype=int)
+    np.add.at(votes, (np.arange(test.n_rows)[:, None], train_cols[near]), 1)
+    pred = tuple(classes[i] for i in np.argmax(votes, axis=1))
+    return PredictionResult(pred, votes, classes)
 
 
 def accuracy(pred, truth):
@@ -346,82 +332,3 @@ def accuracy(pred, truth):
             "%d predictions vs %d truth labels" % (len(pred.labels), len(truth)))
     hits = sum(1 for a, b in zip(pred.labels, truth) if a == b)
     return hits / len(truth)
-
-
-# ===== persistence ========================================================
-
-def save_svm_model(model, path):
-    """Textual dump: kernel params, classes, then per-pair blocks with the
-    support rows spelled out so a load needs no other state."""
-    lines = ["svm,c=%s,gamma=%s,classes=%d,pairs=%d" % (
-        repr(model.c), repr(model.gamma), len(model.classes),
-        len(model.pairs))]
-    lines.append(",".join(model.classes))
-    for pair in model.pairs:
-        rows = model.support_rows(pair)
-        lines.append("pair,%s,%s,bias=%s,converged=%d,kkt=%s,sv=%d,dim=%d" % (
-            pair.label_pos, pair.label_neg, repr(float(pair.bias)),
-            int(pair.converged), repr(float(pair.kkt_violation)),
-            rows.shape[0], rows.shape[1]))
-        if rows.shape[0]:
-            lines.append(",".join(repr(float(v)) for v in pair.coef))
-            for row in rows:
-                lines.append(",".join(repr(float(v)) for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
-
-
-def load_svm_model(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().split("\n") if ln]
-    if not lines or not lines[0].startswith("svm,"):
-        raise MalformedFile("%s line 1: expected `svm,...` header" % path)
-    try:
-        fields = dict(part.split("=") for part in lines[0].split(",")[1:])
-        c = float(fields["c"])
-        gamma = float(fields["gamma"])
-        n_classes = int(fields["classes"])
-        n_pairs = int(fields["pairs"])
-    except (KeyError, ValueError):
-        raise MalformedFile("%s line 1: bad header %r" % (path, lines[0]))
-    classes = tuple(lines[1].split(","))
-    if len(classes) != n_classes:
-        raise MalformedFile("%s line 2: expected %d classes" % (path, n_classes))
-    pairs = []
-    blocks = []
-    offset = 0
-    at = 2
-    for _ in range(n_pairs):
-        if at >= len(lines) or not lines[at].startswith("pair,"):
-            raise MalformedFile("%s line %d: expected `pair,...`" % (path, at + 1))
-        head = lines[at].split(",")
-        meta = dict(part.split("=") for part in head[3:])
-        n_sv = int(meta["sv"])
-        dim = int(meta["dim"])
-        if n_sv:
-            coef = np.array([float(v) for v in lines[at + 1].split(",")])
-            if coef.size != n_sv:
-                raise MalformedFile("%s line %d: expected %d coefficients"
-                                    % (path, at + 2, n_sv))
-            rows = np.zeros((n_sv, dim))
-            for r in range(n_sv):
-                vals = lines[at + 2 + r].split(",")
-                if len(vals) != dim:
-                    raise MalformedFile("%s line %d: expected %d values"
-                                        % (path, at + 3 + r, dim))
-                rows[r] = [float(v) for v in vals]
-            at += 2 + n_sv
-        else:
-            coef = np.zeros(0)
-            rows = np.zeros((0, dim))
-            at += 1
-        blocks.append(rows)
-        pairs.append(PairModel(head[1], head[2],
-                               np.arange(offset, offset + n_sv), coef,
-                               float(meta["bias"]), bool(int(meta["converged"])),
-                               float(meta["kkt"])))
-        offset += n_sv
-    dim = blocks[0].shape[1] if blocks else 0
-    sv_matrix = np.vstack(blocks) if offset else np.zeros((0, dim))
-    return SvmModel(classes, c, gamma, sv_matrix, tuple(pairs))

@@ -13,10 +13,11 @@ from . import bench
 from .errors import EcgidError
 from .detect import detect_r_peaks
 from .dsp import preprocess_ecg
-from .features import concat_matrices, load_feature_matrix, save_feature_matrix
+from .features import load_feature_matrix, save_feature_matrix
 from .ingest import (
     DatasetManifest,
     build_cohort,
+    load_manifest,
     load_record,
     save_manifest,
     save_record,
@@ -85,13 +86,10 @@ def _cmd_detect(args):
 
 def _cmd_featurize(args):
     cfg = _load_config(args)
-    cache = {}
-    man = bench._manifest(cache, args.manifest)
-    parts = []
-    for sid, cond, _rel, _dur in sorted(man.entries):
-        parts.append(bench._record_stage_matrix(cache, args.manifest, sid,
-                                                cond, cfg))
-    save_feature_matrix(concat_matrices(parts), args.out)
+    man = load_manifest(args.manifest)
+    entries = sorted((s, c) for (s, c, _, _) in man.entries)
+    save_feature_matrix(bench.featurize_cohort(args.manifest, cfg, entries,
+                                               cache={}), args.out)
     print(args.out)
     return 0
 

@@ -14,6 +14,7 @@ from .dsp import frame_magnitude_spectrum, hamming_window
 from .errors import (
     DegenerateWindow,
     DimensionMismatch,
+    EcgidError,
     InvariantViolation,
     MalformedFile,
     TooFewRows,
@@ -259,7 +260,7 @@ def pqrst_features(record, det):
             parts = extract_pqrst(record, int(r[k]), rr_prev, hr_bpm=hr)
             beat = reconstruct_beat(parts, fs, record.subject_id,
                                     record.condition, int(r[k]))
-        except Exception:
+        except EcgidError:
             skipped += 1
             continue
         rows.append(beat.samples)

@@ -8,6 +8,7 @@ additionally scales P amplitude up and T amplitude down by fixed factors.
 """
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -302,9 +303,12 @@ class DatasetManifest:
     def __post_init__(self):
         if not self.entries:
             raise InvariantViolation("manifest has no entries")
-        triples = [(s, c, p) for (s, c, p, _) in self.entries]
-        if len(set(triples)) != len(triples):
-            raise InvariantViolation("duplicate (subject, condition, path) entry")
+        counts = Counter((s, c) for (s, c, _, _) in self.entries)
+        dupes = sorted(p for p, n in counts.items() if n > 1)
+        if dupes:
+            raise InvariantViolation(
+                "one record per (subject, condition) allowed; duplicated: %s"
+                % dupes)
         subjects = {s for (s, _, _, _) in self.entries}
         with_rest = {s for (s, c, _, _) in self.entries if c == "rest"}
         if subjects - with_rest:

@@ -174,16 +174,6 @@ def _weight_vectors(aux):
     return w1 / n, w2 / n
 
 
-def weight_w1(aux, l):
-    """Between-subject separability of feature l over the auxiliary set."""
-    return float(_weight_vectors(aux)[0][l])
-
-
-def weight_w2(aux, l):
-    """Exercise sensitivity of feature l over the auxiliary set."""
-    return float(_weight_vectors(aux)[1][l])
-
-
 @dataclass(frozen=True)
 class SelectionWeights:
     """Per-feature scores and the retained index order."""
@@ -219,7 +209,7 @@ def rank_descending(w):
     return np.lexsort((np.arange(w.size), -w))
 
 
-def select_features(aux, lam, top_n, threshold=None):
+def select_features(aux, lam, top_n):
     """Score every feature on the auxiliary cohort and keep the best.
 
     Parameters
@@ -230,9 +220,6 @@ def select_features(aux, lam, top_n, threshold=None):
         Trade-off weight; paper-style default is 0.3.
     top_n : int
         Number of features kept (by descending w, ties ascending index).
-    threshold : float, optional
-        Alternative mode: keep every feature with w >= threshold instead of
-        a fixed count (still ordered by descending w).
 
     Returns
     -------
@@ -244,11 +231,7 @@ def select_features(aux, lam, top_n, threshold=None):
         raise InvariantViolation("top_n must lie in [1, dim]")
     w1, w2 = _weight_vectors(aux)
     w = lam * w1 - (1.0 - lam) * w2
-    ranked = rank_descending(w)
-    if threshold is not None:
-        selected = tuple(int(i) for i in ranked if w[i] >= threshold)
-    else:
-        selected = tuple(int(i) for i in ranked[:top_n])
+    selected = tuple(int(i) for i in rank_descending(w)[:top_n])
     return SelectionWeights(w, w1, w2, lam, selected, top_n)
 
 

@@ -284,7 +284,7 @@ def test_criterion_5_classifier_fixtures():
         vals.append(rng.normal((cx, cy), 0.2, size=(8, 2)))
         labels += [lab] * 8
     separable = _toy_matrix(np.vstack(vals), labels)
-    model = svm_train(separable, seed=0)
+    model = svm_train(separable)
     pred = svm_predict(model, separable)
     if list(pred.labels) != list(separable.subject_ids):
         failures.append("separable training accuracy")
@@ -296,7 +296,7 @@ def test_criterion_5_classifier_fixtures():
         xor_vals.append(rng.normal((cx, cy), 0.1, size=(10, 2)))
         xor_labels += [lab] * 10
     xor = _toy_matrix(np.vstack(xor_vals), xor_labels)
-    model = svm_train(xor, c=100.0, gamma=1.0, seed=0)
+    model = svm_train(xor, c=100.0, gamma=1.0)
     pred = svm_predict(model, xor)
     if list(pred.labels) != list(xor.subject_ids):
         failures.append("xor training accuracy")
@@ -460,7 +460,7 @@ def _leak_check(manifest, config, protocol, seed, cache):
                                     np.isin(sid, eval_sids))))
         split = split_protocol(m, protocol)
         return state_fingerprint(
-            fit_pipeline_state(split.train, config, seed, selection))
+            fit_pipeline_state(split.train, config, selection))
 
     if fit_fingerprint(matrix) != report.state_fingerprint:
         return "refit differs"

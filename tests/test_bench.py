@@ -12,6 +12,7 @@ from ecgid.bench import (
     aux_eval_split,
     cohort_matrix,
     config_to_text,
+    featurize_cohort,
     fit_pipeline_state,
     parse_config,
     parse_report_csv,
@@ -217,6 +218,20 @@ def test_run_pipeline_rest_ex_uses_whole_conditions(small_manifest):
     assert report.test_beats >= 3
 
 
+def test_featurize_cohort_stacks_entries_in_order(small_manifest):
+    cfg = PipelineConfig(stage="qrs30")
+    cache = {}
+    matrix, skipped = cohort_matrix(small_manifest, cfg, "rest_rest", 1, cache)
+    rest = [("s01", "rest"), ("s02", "rest"), ("s03", "rest")]
+    m = featurize_cohort(small_manifest, cfg, rest, cache)
+    assert np.array_equal(m.values, matrix.values)
+    assert m.subject_ids == matrix.subject_ids and m.skipped == skipped
+    back = featurize_cohort(small_manifest, cfg, rest[::-1], cache)
+    assert back.subject_ids[0] == "s03" and back.subject_ids[-1] == "s01"
+    with pytest.raises(EmptyCohort, match="s09/rest"):
+        featurize_cohort(small_manifest, cfg, [("s09", "rest")], cache)
+
+
 def test_run_pipeline_band_variant(small_manifest):
     cfg = PipelineConfig(stage="bandpass10_40+beat300", normalize=True)
     report = run_pipeline(small_manifest, cfg, "rest_rest", seed=1)
@@ -258,7 +273,7 @@ def test_no_leakage_fingerprint(small_manifest):
                           cache=cache)
     matrix, _ = cohort_matrix(small_manifest, cfg, "rest_rest", 3, cache)
     split = split_protocol(matrix, "rest_rest")
-    state = fit_pipeline_state(split.train, cfg, seed=3)
+    state = fit_pipeline_state(split.train, cfg)
     assert state_fingerprint(state) == report.state_fingerprint
 
     # corrupt every test row; the fitted state must not move
@@ -274,7 +289,7 @@ def test_no_leakage_fingerprint(small_manifest):
     poisoned_m = FeatureMatrix(poisoned, matrix.subject_ids,
                                matrix.conditions, matrix.layout_id)
     split_p = split_protocol(poisoned_m, "rest_rest")
-    state_p = fit_pipeline_state(split_p.train, cfg, seed=3)
+    state_p = fit_pipeline_state(split_p.train, cfg)
     assert state_fingerprint(state_p) == report.state_fingerprint
 
 

@@ -14,10 +14,8 @@ from ecgid.classify import (
     PredictionResult,
     accuracy,
     knn_predict,
-    load_svm_model,
     rbf_gram,
     rbf_kernel,
-    save_svm_model,
     smo_solve,
     squared_distances,
     svm_decision_values,
@@ -85,8 +83,7 @@ def test_smo_separable_converges_and_separates():
     m = separable_matrix()
     y = np.where(np.array(m.subject_ids) == "a", 1.0, -1.0)
     gram = rbf_gram(m.values, 1.0)
-    res = smo_solve(gram, y, c=100.0, tol=1e-3, max_epochs=200,
-                    rng=np.random.default_rng(0))
+    res = smo_solve(gram, y, c=100.0, tol=1e-3, max_epochs=200)
     assert res.converged
     assert res.kkt_violation <= 1e-3
     f = (res.alpha * y) @ gram + res.bias
@@ -96,8 +93,7 @@ def test_smo_separable_converges_and_separates():
 def test_smo_alpha_within_box():
     m = xor_matrix()
     y = np.where(np.array(m.subject_ids) == "a", 1.0, -1.0)
-    res = smo_solve(rbf_gram(m.values, 1.0), y, c=5.0,
-                    rng=np.random.default_rng(1))
+    res = smo_solve(rbf_gram(m.values, 1.0), y, c=5.0)
     assert np.all(res.alpha >= 0.0)
     assert np.all(res.alpha <= 5.0)
 
@@ -105,7 +101,7 @@ def test_smo_alpha_within_box():
 def test_smo_objective_non_decreasing():
     m = xor_matrix(seed=3)
     y = np.where(np.array(m.subject_ids) == "a", 1.0, -1.0)
-    res = smo_solve(rbf_gram(m.values, 1.0), y, rng=np.random.default_rng(2))
+    res = smo_solve(rbf_gram(m.values, 1.0), y)
     assert np.all(np.diff(res.objective_history) >= -1e-8)
 
 
@@ -113,13 +109,13 @@ def test_smo_rbf_solves_xor_where_linear_fails():
     m = xor_matrix()
     y = np.where(np.array(m.subject_ids) == "a", 1.0, -1.0)
 
-    rbf = smo_solve(rbf_gram(m.values, 1.0), y, rng=np.random.default_rng(4))
+    rbf = smo_solve(rbf_gram(m.values, 1.0), y)
     f_rbf = (rbf.alpha * y) @ rbf_gram(m.values, 1.0) + rbf.bias
     assert rbf.converged
     assert np.mean(np.sign(f_rbf) == y) == 1.0
 
     linear = m.values @ m.values.T
-    lin = smo_solve(linear, y, rng=np.random.default_rng(4))
+    lin = smo_solve(linear, y)
     f_lin = (lin.alpha * y) @ linear + lin.bias
     assert np.mean(np.sign(f_lin) == y) <= 0.75
 
@@ -135,28 +131,17 @@ def test_smo_unconverged_is_flagged_not_raised():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(40, 2))  # fully overlapping classes
     y = np.where(np.arange(40) % 2 == 0, 1.0, -1.0)
-    res = smo_solve(rbf_gram(x, 1.0), y, c=100.0, max_epochs=1,
-                    rng=np.random.default_rng(6))
+    res = smo_solve(rbf_gram(x, 1.0), y, c=100.0, max_epochs=1)
     assert not res.converged
     assert res.kkt_violation > 1e-3
     assert res.epochs_run <= 1  # max_epochs * n pair updates at most
-
-
-def test_smo_ignores_rng():
-    m = xor_matrix(seed=13)
-    y = np.where(np.array(m.subject_ids) == "a", 1.0, -1.0)
-    gram = rbf_gram(m.values, 1.0)
-    a = smo_solve(gram, y, rng=np.random.default_rng(0))
-    b = smo_solve(gram, y, rng=np.random.default_rng(99))
-    assert np.array_equal(a.alpha, b.alpha)
-    assert a.bias == b.bias
 
 
 # ===== one-vs-one SVM =====================================================
 
 def test_svm_separable_training_accuracy_100():
     m = separable_matrix()
-    model = svm_train(m, seed=0)
+    model = svm_train(m)
     pred = svm_predict(model, m)
     assert accuracy(pred, m.subject_ids) == 1.0
     assert model.all_converged
@@ -166,14 +151,14 @@ def test_svm_separable_training_accuracy_100():
 
 def test_svm_xor_training_accuracy_100():
     m = xor_matrix()
-    model = svm_train(m, gamma=1.0, seed=0)
+    model = svm_train(m, gamma=1.0)
     assert accuracy(svm_predict(model, m), m.subject_ids) == 1.0
     assert model.all_converged
 
 
 def test_svm_probe_equal_to_train_row():
     m = xor_matrix()
-    model = svm_train(m, seed=0)
+    model = svm_train(m)
     probe = toy_matrix(m.values[[0]], [m.subject_ids[0]])
     assert svm_predict(model, probe).labels == (m.subject_ids[0],)
 
@@ -184,7 +169,7 @@ def test_svm_votes_sum_to_pair_count():
                       for c in ((0, 0), (4, 0), (0, 4), (4, 4))])
     labels = sum(([lab] * 8 for lab in "abcd"), [])
     m = toy_matrix(vals, labels)
-    model = svm_train(m, seed=0)
+    model = svm_train(m)
     pred = svm_predict(model, m)
     assert np.all(pred.votes.sum(axis=1) == 6)  # C(4,2)
     assert accuracy(pred, labels) == 1.0
@@ -196,8 +181,8 @@ def test_svm_duplicate_rows_leave_decision_unchanged():
     m = xor_matrix(n_per=6)
     doubled = toy_matrix(np.vstack([m.values, m.values]),
                          list(m.subject_ids) * 2)
-    a = svm_train(m, tol=1e-8, seed=0)
-    b = svm_train(doubled, tol=1e-8, seed=0)
+    a = svm_train(m, tol=1e-8)
+    b = svm_train(doubled, tol=1e-8)
     rng = np.random.default_rng(8)
     probe = rng.uniform(-2, 2, size=(25, 2))
     da = svm_decision_values(a, probe)
@@ -210,8 +195,8 @@ def test_svm_row_permutation_changes_nothing():
     rng = np.random.default_rng(10)
     perm = rng.permutation(m.n_rows)
     m2 = toy_matrix(m.values[perm], [m.subject_ids[i] for i in perm])
-    a = svm_train(m, seed=3)
-    b = svm_train(m2, seed=3)
+    a = svm_train(m)
+    b = svm_train(m2)
     probe = toy_matrix(rng.uniform(-2, 2, size=(25, 2)), ["a"] * 25)
     pa = svm_predict(a, probe)
     pb = svm_predict(b, probe)
@@ -231,7 +216,7 @@ def test_svm_degenerate_class_errors():
 
 def test_svm_predict_dimension_mismatch():
     m = separable_matrix()
-    model = svm_train(m, seed=0)
+    model = svm_train(m)
     with pytest.raises(DimensionMismatch):
         svm_predict(model, toy_matrix(np.zeros((2, 3)), ["a", "b"]))
 
@@ -264,6 +249,14 @@ def test_knn_distance_tie_broken_by_train_index():
     train = toy_matrix([[1.0, 0.0], [0.0, 1.0]], ["b", "a"])
     test = toy_matrix([[0.0, 0.0]], ["a"])
     assert knn_predict(train, test, k=1).labels == ("b",)
+
+
+def test_knn_tie_at_kth_distance_keeps_nearer_rows():
+    # row 3 is nearest; rows 0-2 tie at the 2nd distance and row 0 wins it
+    train = toy_matrix([[1.0], [-1.0], [1.0], [0.5]], ["b", "a", "a", "c"])
+    pred = knn_predict(train, toy_matrix([[0.0]], ["a"]), k=2)
+    assert pred.labels == ("b",)
+    assert pred.votes.tolist() == [[0, 1, 1]]
 
 
 def test_knn_matches_brute_force_oracle():
@@ -308,29 +301,3 @@ def test_accuracy_counting():
     assert accuracy(pred, flipped) == 0.0
     with pytest.raises(LengthMismatch):
         accuracy(pred, truth[:5])
-
-
-# ===== persistence ========================================================
-
-def test_svm_model_round_trip(tmp_path):
-    m = xor_matrix(n_per=6, seed=11)
-    model = svm_train(m, seed=1)
-    path = tmp_path / "model.txt"
-    save_svm_model(model, path)
-    back = load_svm_model(path)
-    assert back.classes == model.classes
-    assert back.c == model.c and back.gamma == model.gamma
-    rng = np.random.default_rng(12)
-    probe = toy_matrix(rng.uniform(-2, 2, size=(30, 2)), ["a"] * 30)
-    pa = svm_predict(model, probe)
-    pb = svm_predict(back, probe)
-    assert pa.labels == pb.labels
-    assert np.array_equal(pa.votes, pb.votes)
-
-
-def test_svm_model_load_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("not a model\n", encoding="utf-8")
-    from ecgid.errors import MalformedFile
-    with pytest.raises(MalformedFile):
-        load_svm_model(path)

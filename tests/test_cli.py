@@ -6,6 +6,7 @@ import pytest
 
 from ecgid.bench import parse_report_csv
 from ecgid.cli import cli_main
+from ecgid.errors import InvariantViolation
 from ecgid.features import load_feature_matrix
 from ecgid.ingest import load_manifest
 from ecgid.select import load_selection_weights
@@ -124,6 +125,21 @@ def test_data_errors_exit_2(tmp_path, capsys):
     bad_cfg.write_text("junk=1\n", encoding="utf-8")
     assert cli_main(["run", "--manifest", missing, "--protocol", "rest_rest",
                      "--config", str(bad_cfg)]) == 2
+
+
+def test_duplicate_manifest_record_exits_2(gen_dir, tmp_path, capsys):
+    man = load_manifest(manifest_of(gen_dir))
+    lines = ["%s,%s,%s,%s" % (sid, cond, os.path.join(gen_dir, rel), dur)
+             for (sid, cond, rel, dur) in man.entries]
+    # a second file for s01/rest: ambiguous, whichever file would be read
+    lines.append("s01,rest,%s,30.0" % os.path.join(gen_dir, "s02_rest.txt"))
+    path = tmp_path / "manifest.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(InvariantViolation, match="s01"):
+        load_manifest(str(path))
+    assert cli_main(["run", "--manifest", str(path), "--protocol",
+                     "rest_rest", "--stage", "qrs30"]) == 2
+    assert "error" in capsys.readouterr().err
 
 
 def test_report_merges_and_sorts(gen_dir, tmp_path):

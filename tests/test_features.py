@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import FS, fixed_params
 
+import ecgid.features
 from ecgid.detect import QrsDetection, detect_r_peaks
 from ecgid.dsp import preprocess_ecg
 from ecgid.errors import (
@@ -181,6 +182,31 @@ def test_pqrst_features_shape():
     m = pqrst_features(rec, det)
     assert m.dim == 240
     assert m.n_rows >= 20
+
+
+def test_pqrst_features_skips_only_typed_errors(monkeypatch):
+    rec, det, _ = synth_prepared(jitter=0.02)
+    plain = pqrst_features(rec, det)
+    real = ecgid.features.extract_pqrst
+    calls = []
+
+    def first_beat_degenerate(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise DegenerateWindow("flat window")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ecgid.features, "extract_pqrst", first_beat_degenerate)
+    m = pqrst_features(rec, det)
+    assert (m.n_rows, m.skipped) == (plain.n_rows - 1, plain.skipped + 1)
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("bug in extract_pqrst")
+
+    # a programming error is not a skipped beat: it reaches the caller
+    monkeypatch.setattr(ecgid.features, "extract_pqrst", broken)
+    with pytest.raises(RuntimeError, match="bug in extract_pqrst"):
+        pqrst_features(rec, det)
 
 
 def test_transform_feature_dimensions():

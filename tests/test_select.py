@@ -22,8 +22,6 @@ from ecgid.select import (
     rank_descending,
     save_selection_weights,
     select_features,
-    weight_w1,
-    weight_w2,
 )
 
 
@@ -106,14 +104,6 @@ def test_weight_identity_exact():
         assert np.array_equal(sw.w, expect)
 
 
-def test_weight_functions_match_select():
-    aux = make_aux(subject_shift=3.0, condition_shift=2.0, seed=2)
-    sw = select_features(aux, 0.3, top_n=1)
-    for l in range(aux.dim):
-        assert weight_w1(aux, l) == sw.w1[l]
-        assert weight_w2(aux, l) == sw.w2[l]
-
-
 def test_hand_toy_selects_stable_separating_feature():
     aux = make_aux(n_subjects=3, subject_shift=6.0, condition_shift=6.0,
                    noise=0.3, seed=4)
@@ -166,14 +156,6 @@ def test_row_permutation_keeps_ranking():
 def test_rank_descending_ties_ascending_index():
     ranked = rank_descending(np.array([1.0, 2.0, 2.0, 0.5]))
     assert list(ranked) == [1, 2, 0, 3]
-
-
-def test_threshold_mode_keeps_weights_at_or_above():
-    aux = make_aux(subject_shift=5.0, condition_shift=5.0, seed=10)
-    sw = select_features(aux, 0.3, top_n=1, threshold=0.0)
-    assert all(sw.w[i] >= 0.0 for i in sw.selected)
-    others = set(range(aux.dim)) - set(sw.selected)
-    assert all(sw.w[i] < 0.0 for i in others)
 
 
 def test_missing_condition_raises():
