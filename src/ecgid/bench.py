@@ -219,8 +219,6 @@ def _truncate_detection(det, n):
 
 
 def _cache_get(cache, key, build):
-    if cache is None:
-        return build()
     if key not in cache:
         cache[key] = build()
     return cache[key]
@@ -349,7 +347,9 @@ def aux_eval_split(subjects, seed):
 def featurize_cohort(manifest_path, config, entries, cache=None):
     """Stage features of the given (subject, condition) records, stacked in
     the given order; rows are chronological per record and the matrix's
-    `skipped` sums the records' skipped beats."""
+    `skipped` sums the records' skipped beats. Without a cache, each record
+    is still loaded and filtered once."""
+    cache = {} if cache is None else cache
     return _features.concat_matrices([
         _record_stage_matrix(cache, manifest_path, sid, cond, config)
         for sid, cond in entries])
@@ -361,6 +361,7 @@ def cohort_matrix(manifest_path, config, protocol, seed, cache=None):
     Returns (matrix, skipped_beats). Rows are chronological per record;
     records are ordered by (subject, condition).
     """
+    cache = {} if cache is None else cache
     entries = _required_entries(_manifest(cache, manifest_path), protocol,
                                 config, seed)
     matrix = featurize_cohort(manifest_path, config, entries, cache)
@@ -522,7 +523,8 @@ def run_pipeline(manifest_path, config, protocol, seed, cache=None):
         and is recorded in the report; no other step of a run is random.
     cache : dict, optional
         Reused across runs to share loaded records, detections, and stage
-        features; holds no fitted state, so sharing cannot leak.
+        features; holds no fitted state, so sharing cannot leak. A run
+        without one still loads and filters each record once.
 
     Returns
     -------
@@ -531,6 +533,7 @@ def run_pipeline(manifest_path, config, protocol, seed, cache=None):
     if protocol not in PROTOCOLS:
         raise InvariantViolation("unknown protocol %r (one of %s)"
                                  % (protocol, ", ".join(PROTOCOLS)))
+    cache = {} if cache is None else cache
     matrix, skipped = cohort_matrix(manifest_path, config, protocol, seed,
                                     cache)
     selection = None

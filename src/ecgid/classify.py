@@ -108,56 +108,111 @@ def smo_solve(gram, y, c=100.0, tol=1e-3, max_epochs=200):
         the end; and the final KKT violation.
     """
     y = np.asarray(y, float)
-    n = y.size
     if set(np.unique(y)) != {-1.0, 1.0}:
         raise InvariantViolation("labels must be +-1, with both present")
-    diag = np.diag(gram)
-    pos = y > 0
-    alpha = np.zeros(n)
-    g = y.copy()  # y - K(alpha*y) at alpha = 0
+    return _smo_batch(gram, [np.arange(y.size)], [y], c, tol, max_epochs)[0]
+
+
+def _objective(alpha, y, g):
+    return float(0.5 * np.sum(alpha * (y * g + 1.0)))
+
+
+def _smo_batch(gram, idx, y, c, tol, max_epochs):
+    """smo_solve for many binary problems over one Gram matrix.
+
+    Problem p trains on the rows idx[p] of gram with labels y[p]. The
+    problems advance in lockstep, one pair update each per iteration, and
+    each leaves the batch once its own stop test holds. The state is kept
+    as (problems x widest problem) arrays whose padding slots belong to
+    neither I_up nor I_low; every per-problem operation is elementwise and
+    in the order of the one-problem algorithm, so each result equals a
+    separate solve on that problem's sub-Gram exactly.
+    """
+    sizes = np.array([v.size for v in y])
+    rows_idx = np.zeros((sizes.size, sizes.max()), dtype=int)
+    ys = np.zeros(rows_idx.shape)
+    for p, (ix, v) in enumerate(zip(idx, y)):
+        rows_idx[p, :ix.size] = ix
+        ys[p, :v.size] = v
+    diag = np.diag(gram)[rows_idx]
+    pos = ys > 0
+    alpha = np.zeros(ys.shape)
+    g = ys.copy()  # y - K(alpha*y) at alpha = 0
     up = pos.copy()  # I_up: y*alpha may grow
-    low = ~pos  # I_low: y*alpha may shrink
-
-    def objective():
-        return float(0.5 * np.sum(alpha * (y * g + 1.0)))
-
-    history = []
+    low = ys < 0  # I_low: y*alpha may shrink
+    live = np.arange(sizes.size)  # problem number of each state row
+    history = [[] for _ in y]
+    results = [None] * sizes.size
     updates = 0
-    while True:
+    while live.size:
         g_up = np.where(up, g, -np.inf)
-        i = int(np.argmax(g_up))
+        i = np.argmax(g_up, axis=1)
         g_low = np.where(low, g, np.inf)
-        m_up, m_low = g_up[i], float(np.min(g_low))
+        m_up, m_low = g_up[np.arange(live.size), i], np.min(g_low, axis=1)
+        del g_up
         # m_up <= m_low is the exact optimum; it also stops a tol <= 0 run
-        if m_up - m_low < tol or m_up <= m_low or updates == max_epochs * n:
-            break
-        b = m_up - g_low
-        a = np.maximum(diag[i] + diag - 2.0 * gram[i], TAU)
-        j = int(np.argmax(np.where(b > 0.0, b * b / a, -np.inf)))
+        done = ((m_up - m_low < tol) | (m_up <= m_low)
+                | (updates == max_epochs * sizes[live]))
+        if done.any():
+            for r in np.flatnonzero(done):
+                p = live[r]
+                n = int(sizes[p])
+                a_r, y_r, g_r = alpha[r, :n].copy(), ys[r, :n], g[r, :n]
+                if updates % n or not updates:
+                    history[p].append(_objective(a_r, y_r, g_r))
+                free = (a_r > ALPHA_EPS) & (a_r < c - ALPHA_EPS)
+                bias = (float(np.mean(g_r[free])) if free.any()
+                        else float(0.5 * (m_up[r] + m_low[r])))
+                kkt = _kkt_violation(a_r, y_r, bias - g_r, c)
+                results[p] = SmoResult(a_r, bias, kkt <= tol,
+                                       -(-updates // n),
+                                       np.array(history[p]), kkt)
+            keep = ~done
+            n_live = np.count_nonzero(keep)
+            state = (live, rows_idx, ys, diag, pos, alpha, g, up, low, i,
+                     g_low, m_up)
+            for v in state:  # compact in place: no second copy of the state
+                v[:n_live] = v[keep]
+            (live, rows_idx, ys, diag, pos, alpha, g, up, low, i, g_low,
+             m_up) = (v[:n_live] for v in state)
+        rows = np.arange(live.size)
+        b = m_up[:, None] - g_low
+        del g_low
+        k_i = gram[rows_idx[rows, i][:, None], rows_idx]
+        a = diag[rows, i][:, None] + diag
+        a -= 2.0 * k_i
+        np.maximum(a, TAU, out=a)
+        gain = b * b
+        gain /= a
+        gain[~(b > 0.0)] = -np.inf
+        j = np.argmax(gain, axis=1)
+        del gain
         # step t along alpha_i += y_i t, alpha_j -= y_j t, clipped to the box
-        room_i = c - alpha[i] if pos[i] else alpha[i]
-        room_j = alpha[j] if pos[j] else c - alpha[j]
-        t = min(b[j] / a[j], room_i, room_j)
-        alpha[i] += y[i] * t
-        alpha[j] -= y[j] * t
-        if t == room_i:  # land exactly on the bound
-            alpha[i] = c if pos[i] else 0.0
-        if t == room_j:
-            alpha[j] = 0.0 if pos[j] else c
-        g -= t * (gram[i] - gram[j])
-        for k in (i, j):
-            up[k] = alpha[k] < c if pos[k] else alpha[k] > 0.0
-            low[k] = alpha[k] > 0.0 if pos[k] else alpha[k] < c
+        pos_i, pos_j = pos[rows, i], pos[rows, j]
+        alpha_i, alpha_j = alpha[rows, i], alpha[rows, j]
+        room_i = np.where(pos_i, c - alpha_i, alpha_i)
+        room_j = np.where(pos_j, alpha_j, c - alpha_j)
+        t = np.minimum(np.minimum(b[rows, j] / a[rows, j], room_i), room_j)
+        alpha_i = alpha_i + ys[rows, i] * t
+        alpha_j = alpha_j - ys[rows, j] * t
+        # land exactly on the bound
+        alpha_i = np.where(t == room_i, np.where(pos_i, c, 0.0), alpha_i)
+        alpha_j = np.where(t == room_j, np.where(pos_j, 0.0, c), alpha_j)
+        alpha[rows, i], alpha[rows, j] = alpha_i, alpha_j
+        k_i -= gram[rows_idx[rows, j][:, None], rows_idx]
+        k_i *= t[:, None]
+        g -= k_i
+        # free this update's (problems x width) temporaries before the next
+        del b, k_i, a
+        for k, pos_k, alpha_k in ((i, pos_i, alpha_i), (j, pos_j, alpha_j)):
+            up[rows, k] = np.where(pos_k, alpha_k < c, alpha_k > 0.0)
+            low[rows, k] = np.where(pos_k, alpha_k > 0.0, alpha_k < c)
         updates += 1
-        if updates % n == 0:
-            history.append(objective())
-    if updates % n or not updates:
-        history.append(objective())
-    free = (alpha > ALPHA_EPS) & (alpha < c - ALPHA_EPS)
-    bias = float(np.mean(g[free])) if free.any() else 0.5 * (m_up + m_low)
-    kkt = _kkt_violation(alpha, y, bias - g, c)
-    return SmoResult(alpha, bias, kkt <= tol, -(-updates // n),
-                     np.array(history), kkt)
+        for r in np.flatnonzero(updates % sizes[live] == 0):
+            n = int(sizes[live[r]])
+            history[live[r]].append(
+                _objective(alpha[r, :n], ys[r, :n], g[r, :n]))
+    return results
 
 
 # ===== one-vs-one SVM =====================================================
@@ -238,7 +293,9 @@ def svm_train(m, c=100.0, gamma=1.0, tol=1e-3, max_epochs=200):
         Box constraint and kernel width.
     tol, max_epochs : SMO stopping controls
         tol bounds each pair's KKT violation; max_epochs * n caps the pair
-        updates of a binary problem with n rows.
+        updates of a binary problem with n rows. All binary problems are
+        solved together in one batched SMO loop over the model's Gram
+        matrix; each result equals smo_solve on that pair's sub-Gram.
 
     Returns
     -------
@@ -257,15 +314,17 @@ def svm_train(m, c=100.0, gamma=1.0, tol=1e-3, max_epochs=200):
     gram = rbf_gram(x, gamma)
     idx_by_class = {cls: np.array([i for i, lab in enumerate(labs)
                                    if lab == cls]) for cls in classes}
+    class_pairs = list(itertools.combinations(classes, 2))
+    idx = [np.concatenate([idx_by_class[pos], idx_by_class[neg]])
+           for pos, neg in class_pairs]
+    ys = [np.where(np.arange(ix.size) < idx_by_class[pos].size, 1.0, -1.0)
+          for ix, (pos, _) in zip(idx, class_pairs)]
+    results = _smo_batch(gram, idx, ys, c, tol, max_epochs)
     pairs = []
-    for pos, neg in itertools.combinations(classes, 2):
-        idx = np.concatenate([idx_by_class[pos], idx_by_class[neg]])
-        y = np.where(np.arange(idx.size) < idx_by_class[pos].size, 1.0, -1.0)
-        sub = gram[np.ix_(idx, idx)]
-        res = smo_solve(sub, y, c=c, tol=tol, max_epochs=max_epochs)
+    for (pos, neg), ix, y, res in zip(class_pairs, idx, ys, results):
         keep = res.alpha > ALPHA_EPS
         pairs.append(PairModel(
-            pos, neg, idx[keep], res.alpha[keep] * y[keep],
+            pos, neg, ix[keep], res.alpha[keep] * y[keep],
             res.bias, res.converged, res.kkt_violation))
     return SvmModel(classes, float(c), float(gamma), x, tuple(pairs))
 

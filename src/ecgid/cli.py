@@ -88,8 +88,8 @@ def _cmd_featurize(args):
     cfg = _load_config(args)
     man = load_manifest(args.manifest)
     entries = sorted((s, c) for (s, c, _, _) in man.entries)
-    save_feature_matrix(bench.featurize_cohort(args.manifest, cfg, entries,
-                                               cache={}), args.out)
+    save_feature_matrix(bench.featurize_cohort(args.manifest, cfg, entries),
+                        args.out)
     print(args.out)
     return 0
 

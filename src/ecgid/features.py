@@ -49,7 +49,9 @@ def declared_dim(layout_id):
     """Declared dimension for a known layout id, else None."""
     if layout_id in LAYOUT_DIMS:
         return LAYOUT_DIMS[layout_id]
-    m = re.match(r"^ac(\d+)", layout_id)
+    # ac<n> and ac<n>_beat only: a derived layout such as ac80>pca5 has
+    # its own width
+    m = re.match(r"^ac(\d+)(?:_beat)?$", layout_id)
     if m:
         return int(m.group(1))
     return None

@@ -278,10 +278,14 @@ def load_selection_weights(path):
         parts = line.split(",")
         if len(parts) != 5:
             raise MalformedFile("%s line %d: expected 5 fields" % (path, i))
-        w.append(float(parts[1]))
-        w1.append(float(parts[2]))
-        w2.append(float(parts[3]))
-        flags.append(int(parts[4]))
+        try:
+            w.append(float(parts[1]))
+            w1.append(float(parts[2]))
+            w2.append(float(parts[3]))
+            flags.append(int(parts[4]))
+        except ValueError:
+            raise MalformedFile("%s line %d: bad field in %r"
+                                % (path, i, line))
     w = np.array(w)
     ranked = rank_descending(w)
     selected = tuple(int(i) for i in ranked if flags[i])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import write_cohort
+import ecgid.bench as bench
 from ecgid.bench import (
     ExperimentReport,
     PipelineConfig,
@@ -199,6 +200,30 @@ def test_run_pipeline_deterministic_and_cacheable(small_manifest):
     b = run_pipeline(small_manifest, cfg, "rest_rest", seed=1, cache=cache)
     c = run_pipeline(small_manifest, cfg, "rest_rest", seed=1)
     assert a == b == c
+
+
+def test_run_without_cache_loads_each_record_once(small_manifest,
+                                                 monkeypatch):
+    loads = []
+    real_load = bench.load_record
+
+    def counting_load(path, sid, cond):
+        loads.append((sid, cond))
+        return real_load(path, sid, cond)
+    monkeypatch.setattr(bench, "load_record", counting_load)
+    cfg = PipelineConfig(stage="qrs30")
+    run_pipeline(small_manifest, cfg, "rest_rest", seed=1)
+    assert sorted(loads) == [("s01", "rest"), ("s02", "rest"), ("s03", "rest")]
+    loads.clear()
+    featurize_cohort(small_manifest, cfg, [("s02", "post_exercise")])
+    assert loads == [("s02", "post_exercise")]
+
+
+def test_run_pipeline_ac_pca_knn(small_manifest):
+    cfg = PipelineConfig(stage="ac", reduction="pca", classifier="knn")
+    report = run_pipeline(small_manifest, cfg, "rest_rest", seed=1)
+    assert report.pipeline == cfg.pipeline_id
+    assert 0.0 <= report.test_accuracy <= 1.0
 
 
 def test_run_pipeline_knn(small_manifest):

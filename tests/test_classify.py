@@ -11,11 +11,13 @@ from ecgid.errors import (
 )
 from ecgid.features import FeatureMatrix
 from ecgid.classify import (
+    ALPHA_EPS,
     PredictionResult,
     accuracy,
     knn_predict,
     rbf_gram,
     rbf_kernel,
+    _smo_batch,
     smo_solve,
     squared_distances,
     svm_decision_values,
@@ -212,6 +214,50 @@ def test_svm_degenerate_class_errors():
                              ["a", "a", "a", "a"]))
     with pytest.raises(DegenerateClass):
         svm_train(toy_matrix(np.arange(3)[:, None], ["a", "a", "b"]))
+
+
+def test_svm_pairs_equal_one_problem_solves():
+    # unequal class sizes, so the batched state has padding slots and the
+    # pairs stop after different numbers of updates
+    rng = np.random.default_rng(12)
+    sizes = {"a": 3, "b": 5, "c": 8, "d": 4}
+    vals = np.vstack([rng.normal(0.0, 1.0, size=(n, 2))
+                      for n in sizes.values()])
+    labels = sum(([lab] * n for lab, n in sizes.items()), [])
+    m = toy_matrix(vals, labels)
+    unconverged = 0
+    for max_epochs in (200, 1):
+        model = svm_train(m, c=10.0, max_epochs=max_epochs)
+        gram = rbf_gram(model.sv_matrix, 1.0)
+        rows = {lab: np.flatnonzero(np.array(sorted(labels)) == lab)
+                for lab in sizes}
+        idx, ys, solo = [], [], []
+        for pair in model.pairs:
+            ix = np.concatenate([rows[pair.label_pos], rows[pair.label_neg]])
+            y = np.where(np.arange(ix.size) < rows[pair.label_pos].size,
+                         1.0, -1.0)
+            res = smo_solve(gram[np.ix_(ix, ix)], y, c=10.0,
+                            max_epochs=max_epochs)
+            keep = res.alpha > ALPHA_EPS
+            assert np.array_equal(pair.sv_idx, ix[keep])
+            assert np.array_equal(pair.coef, res.alpha[keep] * y[keep])
+            assert pair.bias == res.bias
+            assert pair.converged == res.converged
+            assert pair.kkt_violation == res.kkt_violation
+            unconverged += not res.converged
+            idx.append(ix)
+            ys.append(y)
+            solo.append(res)
+        batch = _smo_batch(gram, idx, ys, 10.0, 1e-3, max_epochs)
+        for got, want in zip(batch, solo):
+            assert np.array_equal(got.alpha, want.alpha)
+            assert got.bias == want.bias
+            assert got.converged == want.converged
+            assert got.epochs_run == want.epochs_run
+            assert np.array_equal(got.objective_history,
+                                  want.objective_history)
+            assert got.kkt_violation == want.kkt_violation
+    assert unconverged > 0  # the max_epochs=1 budget stops some pairs
 
 
 def test_svm_predict_dimension_mismatch():

@@ -6,6 +6,7 @@ import pytest
 from ecgid.errors import (
     DimensionMismatch,
     InvariantViolation,
+    MalformedFile,
     MissingCondition,
     TooFewRows,
     TooFewSubjects,
@@ -227,6 +228,17 @@ def test_selection_weights_round_trip(tmp_path):
     assert back.lam == sw.lam
     assert back.top_n == sw.top_n
     assert back.selected == sw.selected
+
+
+def test_selection_weights_bad_field_names_path_and_line(tmp_path):
+    aux = make_aux(subject_shift=3.0, condition_shift=2.0, seed=14)
+    path = tmp_path / "weights.csv"
+    save_selection_weights(select_features(aux, 0.3, top_n=2), path)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines[2] = lines[2].replace(lines[2].split(",")[2], "abc")
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(MalformedFile, match=r"weights\.csv line 3"):
+        load_selection_weights(path)
 
 
 # ===== PCA ================================================================
