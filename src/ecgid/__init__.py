@@ -35,7 +35,6 @@ from .segment import (
 )
 from .features import (
     FeatureMatrix,
-    FeatureVector,
     ac_features,
     autocorr_features,
     beat_features,
@@ -87,8 +86,8 @@ __all__ = [
     "QrsDetection", "detect_r_peaks",
     "BeatSegment", "dt_threshold", "extract_pqrst", "reconstruct_beat",
     "resample_to_length", "segment_beats_midpoint",
-    "FeatureMatrix", "FeatureVector", "ac_features", "autocorr_features",
-    "beat_features", "concat_matrices", "cwt_features", "fused_features",
+    "FeatureMatrix", "ac_features", "autocorr_features", "beat_features",
+    "concat_matrices", "cwt_features", "fused_features",
     "load_feature_matrix", "pqrst_features", "qrs_features",
     "save_feature_matrix", "stft_features", "take_rows", "zscore_apply",
     "zscore_fit",

@@ -287,11 +287,8 @@ def _record_stage_matrix(cache, manifest_path, sid, cond, config):
             if stage == "pqrst240":
                 return _features.pqrst_features(rec, det)
             if stage == "bandpass10_40+beat300":
-                raw = _record(cache, manifest_path, sid, cond)
-                narrow = EcgRecord(sid, cond, raw.sampling_rate_hz,
-                                   preprocess_ecg(raw.samples,
-                                                  raw.sampling_rate_hz,
-                                                  10.0, 40.0))
+                narrow = _preprocessed(cache, manifest_path, sid, cond,
+                                       10.0, 40.0)
                 return _features.beat_features(narrow, det)
             if stage == "stft":
                 return _features.stft_features(rec, det)

@@ -1,11 +1,10 @@
 """Shared numerical primitives.
 
 IIR Butterworth band-pass design (analog prototype, frequency pre-warping,
-bilinear transform), zero-phase filtering, Hamming windows, and framewise
-magnitude spectra.
+bilinear transform), zero-phase filtering and Hamming windows.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import lfilter
@@ -142,38 +141,3 @@ def hamming_window(n):
         return np.ones(1)
     k = np.arange(n)
     return 0.54 - 0.46 * np.cos(2.0 * np.pi * k / (n - 1))
-
-
-@dataclass(frozen=True)
-class SpectralFrame:
-    """One-sided magnitude spectrum of a single frame."""
-
-    magnitudes: np.ndarray
-    frame_start_index: int
-    nfft: int
-
-    def __post_init__(self):
-        m = np.asarray(self.magnitudes, dtype=float)
-        object.__setattr__(self, "magnitudes", m)
-        if m.size != self.nfft // 2 + 1:
-            raise InvalidBand(
-                "one-sided spectrum needs nfft/2+1 = %d bins, got %d"
-                % (self.nfft // 2 + 1, m.size)
-            )
-        if np.any(m < 0):
-            raise InvalidBand("magnitudes must be non-negative")
-
-
-def frame_magnitude_spectrum(frame, nfft, frame_start_index=0):
-    """Zero-pad ``frame`` to ``nfft`` and return one-sided DFT magnitudes.
-
-    Bins 0..nfft/2 of the discrete Fourier transform; nfft must be even and
-    at least the frame length.
-    """
-    frame = np.asarray(frame, dtype=float)
-    if frame.size == 0:
-        raise SignalTooShort("empty frame")
-    if nfft % 2 != 0 or nfft < frame.size:
-        raise InvalidBand("nfft must be even and >= frame length")
-    mags = np.abs(np.fft.rfft(frame, n=nfft))
-    return SpectralFrame(mags, frame_start_index, nfft)

@@ -7,10 +7,12 @@ fall outside the record are skipped and counted, never padded.
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from scipy.fft import next_fast_len
 
-from .dsp import frame_magnitude_spectrum, hamming_window
+from .dsp import hamming_window
 from .errors import (
     DegenerateWindow,
     DimensionMismatch,
@@ -55,28 +57,6 @@ def declared_dim(layout_id):
     if m:
         return int(m.group(1))
     return None
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """One beat's features under a named layout."""
-
-    values: np.ndarray
-    layout_id: str
-    subject_id: str
-    condition: str
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
-        want = declared_dim(self.layout_id)
-        if want is not None and v.size != want:
-            raise InvariantViolation(
-                "layout %s declares %d values, got %d"
-                % (self.layout_id, want, v.size)
-            )
-        if not np.all(np.isfinite(v)):
-            raise InvariantViolation("feature vector contains non-finite values")
 
 
 @dataclass(frozen=True)
@@ -153,7 +133,79 @@ def concat_matrices(parts):
     )
 
 
-# ===== per-window helpers =================================================
+# ===== window transforms ==================================================
+# Each transform takes one window or a stack of windows (time on the last
+# axis) and returns one feature row per window.
+
+def stft_of_window(w):
+    """Concatenated one-sided magnitudes of Hamming-weighted frames."""
+    w = np.asarray(w, dtype=float)
+    starts = np.arange(0, w.shape[-1] - STFT_WINDOW_N + 1, STFT_HOP)
+    frames = w[..., starts[:, None] + np.arange(STFT_WINDOW_N)]
+    frames = frames * hamming_window(STFT_WINDOW_N)
+    mags = np.abs(np.fft.rfft(frames, n=STFT_NFFT, axis=-1))
+    return mags.reshape(w.shape[:-1] + (mags.shape[-2] * mags.shape[-1],))
+
+
+@lru_cache(maxsize=4)
+def _cwt_spectra(length):
+    """(nfft, spectra): per scale 1..CWT_SCALES, the spectrum of the wavelet
+    kernel reversed and centred on index 0, so that a length-nfft circular
+    convolution with it gives a window's zero-padded same-length
+    correlation in its first `length` samples. nfft covers the full linear
+    convolution with the widest kernel, so nothing wraps around."""
+    kernels = [wavelet_kernel(float(a)) for a in range(1, CWT_SCALES + 1)]
+    nfft = next_fast_len(length + kernels[-1].size - 1, real=True)
+    flipped = [np.roll(np.pad(k[::-1], (0, nfft - k.size)), -(k.size // 2))
+               for k in kernels]
+    return nfft, np.fft.rfft(flipped, axis=-1)
+
+
+def cwt_of_window(w):
+    """Wavelet coefficients at integer scales 1..CWT_SCALES, concatenated."""
+    w = np.asarray(w, dtype=float)
+    n = w.shape[-1]
+    nfft, spectra = _cwt_spectra(n)
+    full = np.fft.irfft(np.fft.rfft(w, nfft)[..., None, :] * spectra, nfft)
+    return full[..., :n].reshape(w.shape[:-1] + (CWT_SCALES * n,))
+
+
+def _lagged_dot(x, m):
+    """sum_i x[i] x[i+m] along the last axis, one BLAS dot per window."""
+    return (x[..., None, :x.shape[-1] - m] @ x[..., m:, None])[..., 0, 0]
+
+
+def autocorr_features(x, n_lags):
+    """Normalized autocorrelation at lags 1..n_lags (lag 0 is excluded).
+
+    Parameters
+    ----------
+    x : array_like
+        One analysis window, or a stack of them along the first axes.
+    n_lags : int
+        Number of lags; must satisfy n_lags <= len(window)/2.
+
+    Returns
+    -------
+    ndarray of shape x.shape[:-1] + (n_lags,).
+    """
+    x = np.asarray(x, dtype=float)
+    if n_lags < 1:
+        raise InvariantViolation("n_lags must be >= 1")
+    if n_lags > x.shape[-1] // 2:
+        raise WindowTooLong(
+            "n_lags %d exceeds half the window length %d"
+            % (n_lags, x.shape[-1])
+        )
+    r0 = _lagged_dot(x, 0)
+    if np.any(r0 == 0.0):
+        raise DegenerateWindow("all-zero window has no autocorrelation scale")
+    lags = np.stack([_lagged_dot(x, m) for m in range(1, n_lags + 1)],
+                    axis=-1)
+    return lags / r0[..., None]
+
+
+# ===== matrix builders ====================================================
 
 def _require_fs300(record, layout):
     if int(round(record.sampling_rate_hz)) != 300:
@@ -162,71 +214,32 @@ def _require_fs300(record, layout):
         )
 
 
-def _window_bounds(r, half_lo, half_hi, n):
-    lo, hi = r - half_lo, r + half_hi
-    if lo < 0 or hi > n:
-        return None
-    return lo, hi
+def _record_matrix(record, rows, layout, skipped=0):
+    """One record's feature rows, labelled with its subject and condition."""
+    n = len(rows)
+    if n == 0:
+        raise TooFewRows("no usable %s row in %s/%s"
+                         % (layout, record.subject_id, record.condition))
+    return FeatureMatrix(np.asarray(rows, dtype=float),
+                         (record.subject_id,) * n, (record.condition,) * n,
+                         layout, skipped)
 
 
-def stft_of_window(w, window_n=STFT_WINDOW_N, hop=STFT_HOP, nfft=STFT_NFFT):
-    """Concatenated one-sided magnitudes of Hamming-weighted frames."""
-    w = np.asarray(w, dtype=float)
-    ham = hamming_window(window_n)
-    mags = []
-    for offset in range(0, w.size - window_n + 1, hop):
-        frame = ham * w[offset:offset + window_n]
-        mags.append(frame_magnitude_spectrum(frame, nfft).magnitudes)
-    return np.concatenate(mags)
+def _centered_windows(record, det, window_len):
+    """(windows, skipped): the window_len samples around each R peak, one
+    row per peak whose window lies inside the record."""
+    lo = det.r_peaks - window_len // 2
+    fits = (lo >= 0) & (lo + window_len <= record.samples.size)
+    windows = record.samples[lo[fits, None] + np.arange(window_len)]
+    return windows, int(np.count_nonzero(~fits))
 
 
-def _same_length_correlate(w, kernel):
-    # correlation with zero-padded borders; handles kernels longer than w
-    half = kernel.size // 2
-    full = np.convolve(w, kernel[::-1], mode="full")
-    return full[half:half + w.size]
+def _with_energy(windows):
+    """(windows, dropped): the rows with nonzero energy, which have an
+    autocorrelation scale, and how many were dropped."""
+    keep = _lagged_dot(windows, 0) != 0.0
+    return windows[keep], int(np.count_nonzero(~keep))
 
-
-def cwt_of_window(w, n_scales=CWT_SCALES):
-    """Wavelet coefficients at integer scales 1..n_scales, concatenated."""
-    w = np.asarray(w, dtype=float)
-    rows = [
-        _same_length_correlate(w, wavelet_kernel(float(a)))
-        for a in range(1, n_scales + 1)
-    ]
-    return np.concatenate(rows)
-
-
-def autocorr_features(x, n_lags, subject_id="", condition="rest"):
-    """Normalized autocorrelation at lags 1..n_lags (lag 0 is excluded).
-
-    Parameters
-    ----------
-    x : array_like
-        Analysis window.
-    n_lags : int
-        Number of lags; must satisfy n_lags <= len(x)/2.
-
-    Returns
-    -------
-    FeatureVector with layout ``ac<n_lags>``.
-    """
-    x = np.asarray(x, dtype=float)
-    if n_lags < 1:
-        raise InvariantViolation("n_lags must be >= 1")
-    if n_lags > x.size // 2:
-        raise WindowTooLong(
-            "n_lags %d exceeds half the window length %d" % (n_lags, x.size)
-        )
-    r0 = float(np.dot(x, x))
-    if r0 == 0.0:
-        raise DegenerateWindow("all-zero window has no autocorrelation scale")
-    vals = np.array([float(np.dot(x[:x.size - m], x[m:])) for m in
-                     range(1, n_lags + 1)]) / r0
-    return FeatureVector(vals, "ac%d" % n_lags, subject_id, condition)
-
-
-# ===== matrix builders ====================================================
 
 def qrs_features(record, det):
     """Per beat, the [onset, offset) slice resampled to 30 samples."""
@@ -234,18 +247,14 @@ def qrs_features(record, det):
         resample_to_length(record.samples[on:off], 30)
         for on, off in zip(det.qrs_onsets, det.qrs_offsets)
     ]
-    n = len(rows)
-    return FeatureMatrix(np.vstack(rows), (record.subject_id,) * n,
-                         (record.condition,) * n, "qrs30")
+    return _record_matrix(record, rows, "qrs30")
 
 
 def beat_features(record, det):
     """Midpoint-to-midpoint beats resampled to 300 samples."""
     beats = segment_beats_midpoint(record, det)
     rows = [resample_to_length(b.samples, 300) for b in beats]
-    n = len(rows)
-    return FeatureMatrix(np.vstack(rows), (record.subject_id,) * n,
-                         (record.condition,) * n, "beat300")
+    return _record_matrix(record, rows, "beat300")
 
 
 def pqrst_features(record, det):
@@ -266,100 +275,48 @@ def pqrst_features(record, det):
             skipped += 1
             continue
         rows.append(beat.samples)
-    if not rows:
-        raise TooFewRows("no beat produced a valid PQRST window")
-    n = len(rows)
-    return FeatureMatrix(np.vstack(rows), (record.subject_id,) * n,
-                         (record.condition,) * n, "pqrst240", skipped)
+    return _record_matrix(record, rows, "pqrst240", skipped)
 
 
-def _centered_windows(record, det, window_len):
-    half = window_len // 2
-    n = record.samples.size
-    out = []
-    skipped = 0
-    for r in det.r_peaks:
-        bounds = _window_bounds(int(r), half, window_len - half, n)
-        if bounds is None:
-            skipped += 1
-            continue
-        out.append(record.samples[bounds[0]:bounds[1]])
-    return out, skipped
-
-
-def stft_features(record, det, window_n=STFT_WINDOW_N, hop=STFT_HOP,
-                  nfft=STFT_NFFT):
+def stft_features(record, det):
     """Spectrogram magnitudes over the 1 s window centered at each R."""
     _require_fs300(record, "stft")
     windows, skipped = _centered_windows(record, det, 300)
-    rows = [stft_of_window(w, window_n, hop, nfft) for w in windows]
-    n = len(rows)
-    return FeatureMatrix(np.vstack(rows), (record.subject_id,) * n,
-                         (record.condition,) * n, "stft", skipped)
+    return _record_matrix(record, stft_of_window(windows), "stft", skipped)
 
 
-def cwt_features(record, det, n_scales=CWT_SCALES):
+def cwt_features(record, det):
     """Wavelet coefficients over the 1 s window centered at each R."""
     _require_fs300(record, "cwt")
     windows, skipped = _centered_windows(record, det, 300)
-    rows = [cwt_of_window(w, n_scales) for w in windows]
-    n = len(rows)
-    return FeatureMatrix(np.vstack(rows), (record.subject_id,) * n,
-                         (record.condition,) * n, "cwt", skipped)
+    return _record_matrix(record, cwt_of_window(windows), "cwt", skipped)
 
 
 def ac_features(record, det, n_lags=AC_LAGS, window_s=1.0):
     """Autocorrelation features over windows of window_s seconds."""
-    fs = record.sampling_rate_hz
-    window_len = int(round(window_s * fs))
+    window_len = int(round(window_s * record.sampling_rate_hz))
     windows, skipped = _centered_windows(record, det, window_len)
-    rows = []
-    for w in windows:
-        try:
-            rows.append(autocorr_features(w, n_lags).values)
-        except DegenerateWindow:
-            skipped += 1
-    if not rows:
-        raise TooFewRows("no usable autocorrelation window")
-    n = len(rows)
-    return FeatureMatrix(np.vstack(rows), (record.subject_id,) * n,
-                         (record.condition,) * n, "ac%d" % n_lags, skipped)
+    windows, dropped = _with_energy(windows)
+    return _record_matrix(record, autocorr_features(windows, n_lags),
+                          "ac%d" % n_lags, skipped + dropped)
 
 
 def ac_beat_features(record, det, n_lags=AC_LAGS):
     """Autocorrelation of the 300-sample beat vectors."""
     beats = beat_features(record, det)
-    rows = []
-    skipped = beats.skipped
-    for row in beats.values:
-        try:
-            rows.append(autocorr_features(row, n_lags).values)
-        except DegenerateWindow:
-            skipped += 1
-    if not rows:
-        raise TooFewRows("no usable beat for autocorrelation")
-    n = len(rows)
-    return FeatureMatrix(np.vstack(rows), (record.subject_id,) * n,
-                         (record.condition,) * n, "ac%d_beat" % n_lags, skipped)
+    rows, dropped = _with_energy(beats.values)
+    return _record_matrix(record, autocorr_features(rows, n_lags),
+                          "ac%d_beat" % n_lags, beats.skipped + dropped)
 
 
 def fused_features(record, det):
     """stft (572) then cwt (9600) then 80-lag AC per 1 s window: 10252."""
     _require_fs300(record, "fused")
     windows, skipped = _centered_windows(record, det, 300)
-    rows = []
-    for w in windows:
-        try:
-            ac = autocorr_features(w, AC_LAGS).values
-        except DegenerateWindow:
-            skipped += 1
-            continue
-        rows.append(np.concatenate([stft_of_window(w), cwt_of_window(w), ac]))
-    if not rows:
-        raise TooFewRows("no usable fused window")
-    n = len(rows)
-    return FeatureMatrix(np.vstack(rows), (record.subject_id,) * n,
-                         (record.condition,) * n, "fused", skipped)
+    windows, dropped = _with_energy(windows)
+    rows = np.hstack([stft_of_window(windows), cwt_of_window(windows),
+                      autocorr_features(windows, AC_LAGS)])
+    return _record_matrix(record, rows, "fused", skipped + dropped)
 
 
 FUSED_BLOCKS = {"stft": (0, 572), "cwt": (572, 10172), "ac": (10172, 10252)}

@@ -147,7 +147,7 @@ def test_criterion_2_formula_oracles():
         x = rng.integers(-8, 9, size=40).astype(float)
         if not np.any(x):
             x[0] = 1.0
-        vec = autocorr_features(x, 20).values
+        vec = autocorr_features(x, 20)
         r0 = sum(v * v for v in x)
         for m in range(1, 21):
             if vec[m - 1] != sum(x[i] * x[i + m] for i in range(40 - m)) / r0:

@@ -1,4 +1,4 @@
-"""Filter design, zero-phase filtering, windows, and frame spectra.
+"""Filter design, zero-phase filtering, windows, and STFT frame spectra.
 
 The magnitude oracle used here evaluates the designed transfer function on
 the unit circle by direct summation, independently of the implementation's
@@ -12,10 +12,10 @@ from ecgid.dsp import (
     FilterCoefficients,
     design_butterworth_bandpass,
     filter_zero_phase,
-    frame_magnitude_spectrum,
     hamming_window,
 )
 from ecgid.errors import InvalidBand, SignalTooShort
+from ecgid.features import stft_of_window
 
 
 def unit_circle_mag(b, a, f_hz, fs_hz):
@@ -155,6 +155,8 @@ def test_hamming_symmetry_and_edges():
 
 
 # ===== frame spectra ======================================================
+# The STFT front end (22 Hamming-weighted 16-sample frames, hop 13, each
+# zero-padded to 50 points) is where the package takes frame spectra.
 
 def direct_dft_mags(frame, nfft):
     # O(n^2) literal DFT summation, one-sided
@@ -169,55 +171,56 @@ def direct_dft_mags(frame, nfft):
     return np.array(out)
 
 
+def stft_frames(w):
+    return stft_of_window(w).reshape(22, 26)
+
+
 def test_spectrum_constant_frame():
-    frame = np.full(10, 0.7)
-    sf = frame_magnitude_spectrum(frame, 10)
-    assert abs(sf.magnitudes[0] - 10 * 0.7) < 1e-9
-    assert np.all(sf.magnitudes[1:] < 1e-9)
+    frames = stft_frames(np.full(300, 0.7))
+    dc = 0.7 * np.sum(hamming_window(16))
+    assert np.max(np.abs(frames[:, 0] - dc)) < 1e-9
+    assert np.all(np.argmax(frames, axis=1) == 0)
+    assert np.array_equal(frames, np.broadcast_to(frames[0], frames.shape))
 
 
 def test_spectrum_impulse_flat():
-    frame = np.zeros(16)
-    frame[0] = 1.0
-    sf = frame_magnitude_spectrum(frame, 16)
-    assert np.allclose(sf.magnitudes, 1.0, atol=1e-12)
+    w = np.zeros(300)
+    w[5] = 1.0  # inside frame 0 only (frames start every 13 samples)
+    frames = stft_frames(w)
+    assert np.allclose(frames[0], hamming_window(16)[5], atol=1e-12)
+    assert np.all(frames[1:] == 0.0)
 
 
 def test_spectrum_pure_cosine_bin():
-    nfft = 32
-    k = 7
-    n = np.arange(nfft)
-    frame = np.cos(2.0 * np.pi * k * n / nfft)
-    sf = frame_magnitude_spectrum(frame, nfft)
-    assert np.argmax(sf.magnitudes) == k
-    leak = np.delete(sf.magnitudes, k)
-    assert np.all(leak < 1e-9)
+    # bins are 300/50 = 6 Hz apart
+    n = np.arange(300)
+    for k in range(4, 22):
+        frames = stft_frames(np.cos(2.0 * np.pi * 6.0 * k * n / 300.0))
+        assert np.all(np.argmax(frames, axis=1) == k)
 
 
 def test_spectrum_matches_direct_dft_oracle():
     rng = np.random.default_rng(5)
-    for n, nfft in [(16, 50), (13, 26), (64, 64), (7, 16)]:
-        frame = rng.normal(size=n)
-        sf = frame_magnitude_spectrum(frame, nfft)
-        oracle = direct_dft_mags(frame, nfft)
-        scale = np.max(oracle) + 1e-30
-        assert np.max(np.abs(sf.magnitudes - oracle)) / scale < 1e-9
+    ham = hamming_window(16)
+    for _ in range(3):
+        w = rng.normal(size=300)
+        frames = stft_frames(w)
+        for f, start in enumerate(range(0, 300 - 15, 13)):
+            oracle = direct_dft_mags(ham * w[start:start + 16], 50)
+            scale = np.max(oracle) + 1e-30
+            assert np.max(np.abs(frames[f] - oracle)) / scale < 1e-9
 
 
 def test_spectrum_parseval_consistency():
     rng = np.random.default_rng(6)
-    frame = rng.normal(size=16)
-    nfft = 50
-    sf = frame_magnitude_spectrum(frame, nfft)
-    m = sf.magnitudes
-    full_energy = m[0] ** 2 + 2 * np.sum(m[1:-1] ** 2) + m[-1] ** 2
-    assert abs(full_energy - nfft * np.sum(frame ** 2)) < 1e-6
+    w = rng.normal(size=300)
+    ham = hamming_window(16)
+    for f, m in enumerate(stft_frames(w)):
+        frame = ham * w[13 * f:13 * f + 16]
+        full_energy = m[0] ** 2 + 2 * np.sum(m[1:-1] ** 2) + m[-1] ** 2
+        assert abs(full_energy - 50 * np.sum(frame ** 2)) < 1e-6
 
 
-def test_spectral_frame_validation():
+def test_filter_coefficients_validation():
     with pytest.raises(InvalidBand):
         FilterCoefficients(np.array([1.0, 0.0]), np.array([2.0, 0.0]), 1, 1, 2, 10)
-    with pytest.raises(InvalidBand):
-        frame_magnitude_spectrum(np.ones(8), 7)  # odd nfft
-    with pytest.raises(SignalTooShort):
-        frame_magnitude_spectrum(np.array([]), 8)

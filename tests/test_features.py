@@ -6,7 +6,7 @@ from conftest import FS, fixed_params
 
 import ecgid.features
 from ecgid.detect import QrsDetection, detect_r_peaks
-from ecgid.dsp import preprocess_ecg
+from ecgid.dsp import hamming_window, preprocess_ecg
 from ecgid.errors import (
     DegenerateWindow,
     DimensionMismatch,
@@ -18,7 +18,6 @@ from ecgid.errors import (
 from ecgid.features import (
     FUSED_BLOCKS,
     FeatureMatrix,
-    FeatureVector,
     ac_beat_features,
     ac_features,
     autocorr_features,
@@ -37,8 +36,13 @@ from ecgid.features import (
     zscore_apply,
     zscore_fit,
 )
-from ecgid.ingest import EcgRecord, synthesize_record
-from ecgid.wavelets import mother_wavelet
+from ecgid.ingest import (
+    EcgRecord,
+    derive_seed,
+    generate_subject_params,
+    synthesize_record,
+)
+from ecgid.wavelets import mother_wavelet, wavelet_kernel
 
 
 def synth_prepared(condition="rest", duration=30.0, seed=31, jitter=0.0,
@@ -53,13 +57,13 @@ def synth_prepared(condition="rest", duration=30.0, seed=31, jitter=0.0,
 
 # ===== type validation ====================================================
 
-def test_feature_vector_and_matrix_validation():
+def test_feature_matrix_validation():
     with pytest.raises(InvariantViolation):
-        FeatureVector(np.zeros(29), "qrs30", "s", "rest")
+        FeatureMatrix(np.zeros((1, 29)), ("s",), ("rest",), "qrs30")
     with pytest.raises(InvariantViolation):
-        FeatureVector(np.zeros(4), "ac5", "s", "rest")
+        FeatureMatrix(np.zeros((1, 4)), ("s",), ("rest",), "ac5")
     with pytest.raises(InvariantViolation):
-        FeatureVector(np.full(30, np.nan), "qrs30", "s", "rest")
+        FeatureMatrix(np.full((1, 30), np.nan), ("s",), ("rest",), "qrs30")
     with pytest.raises(InvariantViolation):
         FeatureMatrix(np.zeros((2, 30)), ("a",), ("rest", "rest"), "qrs30")
     with pytest.raises(InvariantViolation):
@@ -105,7 +109,7 @@ def test_cwt_window_dimension_zero_linearity():
 def test_cwt_matches_brute_force_on_toy_window():
     rng = np.random.default_rng(8)
     w = rng.standard_normal(32)
-    out = cwt_of_window(w, n_scales=32).reshape(32, 32)
+    out = cwt_of_window(w).reshape(32, 32)
     t = np.arange(32)
     for a in range(1, 33):
         for tau in range(32):
@@ -118,10 +122,11 @@ def test_cwt_matches_brute_force_on_toy_window():
 def test_autocorr_impulse_and_frozen_case():
     imp = np.zeros(10)
     imp[0] = 1.0
-    assert np.allclose(autocorr_features(imp, 5).values, 0.0)
+    assert np.allclose(autocorr_features(imp, 5), 0.0)
     vec = autocorr_features(np.ones(4), 2)
-    assert vec.values[0] == 0.75
-    assert vec.layout_id == "ac2"
+    assert vec[0] == 0.75
+    rec, det, _ = synth_prepared()
+    assert ac_features(rec, det).layout_id == "ac80"
 
 
 def test_autocorr_exact_on_integer_windows():
@@ -132,7 +137,7 @@ def test_autocorr_exact_on_integer_windows():
         x = rng.integers(-8, 9, size=40).astype(float)
         if not np.any(x):
             x[0] = 1.0
-        vec = autocorr_features(x, 20).values
+        vec = autocorr_features(x, 20)
         r0 = sum(v * v for v in x)
         for m in range(1, 21):
             direct = sum(x[i] * x[i + m] for i in range(40 - m)) / r0
@@ -143,9 +148,9 @@ def test_autocorr_bounds_and_scale_invariance():
     rng = np.random.default_rng(10)
     for _ in range(30):
         x = rng.standard_normal(40)
-        vec = autocorr_features(x, 20).values
+        vec = autocorr_features(x, 20)
         assert np.all(vec >= -1.0 - 1e-12) and np.all(vec <= 1.0 + 1e-12)
-        scaled = autocorr_features(7.5 * x, 20).values
+        scaled = autocorr_features(7.5 * x, 20)
         assert np.allclose(vec, scaled, rtol=1e-12, atol=1e-15)
 
 
@@ -234,6 +239,67 @@ def test_window_skip_counting():
                        np.array([110, 460, 810]), FS)
     m = stft_features(rec, det)
     assert m.n_rows == 1 and m.skipped == 2
+
+
+def test_window_skip_counting_degenerate_windows():
+    # the windows at 300 and 700 are all zero: no autocorrelation scale
+    samples = np.zeros(1500)
+    samples[1200] = 1.0
+    rec = EcgRecord("s01", "rest", FS, samples)
+    peaks = np.array([300, 700, 1200])
+    det = QrsDetection(peaks, peaks - 10, peaks + 10, FS)
+    for build in (ac_features, fused_features):
+        m = build(rec, det)
+        assert (m.n_rows, m.skipped) == (1, 2)
+    for build in (stft_features, cwt_features):
+        m = build(rec, det)
+        assert (m.n_rows, m.skipped) == (3, 0)
+
+
+def test_no_fitting_window_is_a_typed_error():
+    samples = np.zeros(900)
+    samples[[100, 800]] = 1.0
+    rec = EcgRecord("s01", "rest", FS, samples)
+    peaks = np.array([100, 800])
+    det = QrsDetection(peaks, peaks - 10, peaks + 10, FS)
+    for build in (stft_features, cwt_features, ac_features, fused_features):
+        with pytest.raises(TooFewRows):
+            build(rec, det)
+
+
+def _per_window_oracle(w):
+    # one window at a time, as the stft, cwt and ac stages once computed it
+    ham = hamming_window(16)
+    stft = np.concatenate([np.abs(np.fft.rfft(ham * w[o:o + 16], n=50))
+                           for o in range(0, w.size - 15, 13)])
+    cwt = []
+    for a in range(1, 33):
+        kernel = wavelet_kernel(float(a))
+        half = kernel.size // 2
+        full = np.convolve(w, kernel[::-1], mode="full")
+        cwt.append(full[half:half + w.size])
+    r0 = float(np.dot(w, w))
+    ac = np.array([float(np.dot(w[:w.size - m], w[m:]))
+                   for m in range(1, 81)]) / r0
+    return stft, np.concatenate(cwt), ac
+
+
+def test_window_stages_match_per_window_oracle():
+    params = generate_subject_params("s01", 1)
+    rec, _ = synthesize_record(params, "rest", 20.0, False,
+                               rng_seed=derive_seed("record", 1, "s01", "rest"))
+    det = detect_r_peaks(preprocess_ecg(rec.samples, FS), FS)
+    windows = [rec.samples[r - 150:r + 150] for r in det.r_peaks
+               if 150 <= r <= rec.samples.size - 150]
+    stft = stft_features(rec, det).values
+    cwt = cwt_features(rec, det).values
+    ac = ac_features(rec, det).values
+    assert len(windows) == stft.shape[0] == cwt.shape[0] == ac.shape[0] > 10
+    for i, w in enumerate(windows):
+        want_stft, want_cwt, want_ac = _per_window_oracle(w)
+        assert np.array_equal(stft[i], want_stft)
+        assert np.max(np.abs(cwt[i] - want_cwt)) <= 1e-10
+        assert np.array_equal(ac[i], want_ac)
 
 
 def test_fs300_requirement():
