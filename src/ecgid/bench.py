@@ -273,13 +273,13 @@ def _record_stage_matrix(cache, manifest_path, sid, cond, config):
            config.max_beats_per_subject)
 
     def build():
-        rec = _preprocessed(cache, manifest_path, sid, cond,
-                            config.lo_hz, config.hi_hz)
-        det = _detection(cache, manifest_path, sid, cond,
-                         config.lo_hz, config.hi_hz)
-        det = _truncate_detection(det, config.max_beats_per_subject)
         stage = config.stage
         try:
+            rec = _preprocessed(cache, manifest_path, sid, cond,
+                                config.lo_hz, config.hi_hz)
+            det = _detection(cache, manifest_path, sid, cond,
+                             config.lo_hz, config.hi_hz)
+            det = _truncate_detection(det, config.max_beats_per_subject)
             if stage == "qrs30":
                 return _features.qrs_features(rec, det)
             if stage == "beat300":
@@ -301,6 +301,8 @@ def _record_stage_matrix(cache, manifest_path, sid, cond, config):
                 return _features.ac_beat_features(rec, det,
                                                   n_lags=config.n_lags)
             return _features.fused_features(rec, det)
+        except EmptyCohort:
+            raise  # the manifest lacks this record; no stage ran
         except EcgidError as exc:
             raise StageFailure("subject %s/%s at stage %s: %s"
                                % (sid, cond, stage, exc)) from exc

@@ -16,6 +16,7 @@ from .dsp import preprocess_ecg
 from .features import load_feature_matrix, save_feature_matrix
 from .ingest import (
     DatasetManifest,
+    _read_text,
     build_cohort,
     load_manifest,
     load_record,
@@ -43,8 +44,7 @@ def _write_text(path, text):
 
 def _load_config(args):
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = bench.parse_config(fh.read())
+        cfg = bench.parse_config(_read_text(args.config))
     else:
         cfg = bench.PipelineConfig()
     if getattr(args, "stage", None):
@@ -120,9 +120,8 @@ def _cmd_sweep(args):
 def _cmd_report(args):
     rows = []
     for path in args.inputs:
-        with open(path, "r", encoding="utf-8") as fh:
-            for row in bench.parse_report_csv(fh.read()):
-                rows.append(tuple(row[c] for c in bench.REPORT_COLUMNS))
+        for row in bench.parse_report_csv(_read_text(path)):
+            rows.append(tuple(row[c] for c in bench.REPORT_COLUMNS))
     rows.sort(key=lambda r: (r[0], r[1]))
     _write_text(args.out, bench.render_rows(rows, args.format))
     return 0

@@ -11,6 +11,7 @@ the integrator's group delay before segmentation.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dsp import design_butterworth_bandpass, filter_zero_phase
 from .errors import (
@@ -169,20 +170,15 @@ def detect_r_peaks(x, fs_hz):
 
     refractory_n = REFRACTORY_S * fs_hz
     candidates = _local_maxima(mwi)
-    fpeaks = np.array([
-        np.max(abs_f[max(0, i - window_n):i + 1]) for i in candidates
-    ]) if candidates.size else np.zeros(0)
+    cand_mwi = mwi[candidates]
+    # |filtered| peak over each candidate's integrator window; the -1 pad
+    # never wins against a magnitude
+    padded = np.concatenate([np.full(window_n, -1.0), abs_f])
+    fpeaks = sliding_window_view(padded, window_n + 1)[candidates].max(axis=1)
 
     accepted = []        # decision-point indices into mwi
     accepted_thr = []    # primary integrator threshold at acceptance time
-    accepted_set = set()
-    rr_history = []
-
-    def rr_average():
-        if not rr_history:
-            return None
-        recent = rr_history[-8:]
-        return float(np.mean(recent))
+    rr_history = []      # integer sample gaps, so their mean is exact
 
     def accept(pos, pki, fpk, weight):
         nonlocal spki, spkf
@@ -192,30 +188,26 @@ def detect_r_peaks(x, fs_hz):
             rr_history.append(pos - accepted[-1])
         accepted.append(pos)
         accepted_thr.append(npki + 0.25 * (spki - npki))
-        accepted_set.add(pos)
 
     for ci, i in enumerate(candidates):
-        pki = mwi[i]
+        pki = cand_mwi[ci]
         fpk = fpeaks[ci]
         thr1 = npki + 0.25 * (spki - npki)
         thrf1 = npkf + 0.25 * (spkf - npkf)
 
-        # search-back: a long gap means a beat was likely missed; rescan the
-        # gap's candidates against the halved thresholds
-        rr_avg = rr_average()
-        if accepted and rr_avg is not None and \
-                (i - accepted[-1]) > SEARCHBACK_RR_FACTOR * rr_avg:
-            best = None
-            for cj in range(ci):
-                j = candidates[cj]
-                if j <= accepted[-1] + refractory_n or j in accepted_set:
-                    continue
-                if mwi[j] > 0.5 * thr1 and fpeaks[cj] > 0.5 * thrf1:
-                    if best is None or mwi[j] > mwi[best[0]]:
-                        best = (j, cj)
-            if best is not None:
-                j, cj = best
-                accept(int(j), mwi[j], fpeaks[cj], weight=0.25)
+        # search-back: a long gap means a beat was likely missed; take the
+        # strongest candidate past the last beat's refractory window that
+        # clears the halved thresholds
+        recent = rr_history[-8:]
+        if recent and (i - accepted[-1]) > \
+                SEARCHBACK_RR_FACTOR * (sum(recent) / len(recent)):
+            lo = int(np.searchsorted(candidates, accepted[-1] + refractory_n,
+                                     "right"))
+            ok = (cand_mwi[lo:ci] > 0.5 * thr1) & (fpeaks[lo:ci] > 0.5 * thrf1)
+            if ok.any():
+                cj = lo + int(np.argmax(np.where(ok, cand_mwi[lo:ci], -np.inf)))
+                accept(int(candidates[cj]), cand_mwi[cj], fpeaks[cj],
+                       weight=0.25)
 
         if accepted and i - accepted[-1] < refractory_n:
             continue

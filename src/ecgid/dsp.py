@@ -38,15 +38,6 @@ class FilterCoefficients:
         if roots.size and np.max(np.abs(roots)) >= 1.0 - 1e-8:
             raise InvalidBand("unstable design: pole on or outside the unit circle")
 
-    def magnitude_at(self, f_hz):
-        """|H(e^{j 2 pi f / fs})| evaluated directly on the unit circle."""
-        f = np.atleast_1d(np.asarray(f_hz, dtype=float))
-        z = np.exp(2j * np.pi * f / self.fs_hz)
-        num = np.polyval(self.numerator, z)
-        den = np.polyval(self.denominator, z)
-        mag = np.abs(num / den)
-        return mag if np.ndim(f_hz) else float(mag[0])
-
 
 def design_butterworth_bandpass(order, lo_hz, hi_hz, fs_hz):
     """Design a digital Butterworth band-pass filter.

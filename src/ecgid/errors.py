@@ -29,7 +29,7 @@ class NonFiniteSample(EcgidError):
 
 
 class IoFailure(EcgidError):
-    """Underlying OS write failure while persisting."""
+    """Underlying OS failure while reading or writing a file."""
 
 
 # --- dsp ------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .errors import (
     TooFewRows,
     WindowTooLong,
 )
-from .ingest import CONDITIONS
+from .ingest import CONDITIONS, _parse_finite, _read_text, _write_lines
 from .segment import (
     extract_pqrst,
     reconstruct_beat,
@@ -367,38 +367,29 @@ def zscore_apply(params, m):
 
 def save_feature_matrix(m, path):
     lines = ["layout=%s,dim=%d" % (m.layout_id, m.dim)]
-    for sid, cond, row in zip(m.subject_ids, m.conditions, m.values):
-        lines.append("%s,%s,%s" % (sid, cond,
-                                   ",".join(repr(float(v)) for v in row)))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+    for sid, cond, row in zip(m.subject_ids, m.conditions, m.values.tolist()):
+        lines.append("%s,%s,%s" % (sid, cond, ",".join(map(repr, row))))
+    _write_lines(path, lines)
 
 
 def load_feature_matrix(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    lines = [ln for ln in text.split("\n") if ln]
+    lines = [ln for ln in _read_text(path).split("\n") if ln]
     if not lines:
         raise MalformedFile("%s: empty feature file" % path)
     m = re.match(r"^layout=([^,]+),dim=(\d+)$", lines[0])
     if not m:
         raise MalformedFile("%s line 1: expected `layout=<id>,dim=<n>`" % path)
     layout, dim = m.group(1), int(m.group(2))
-    ids, conds, rows = [], [], []
-    for i, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
+    rows = [line.split(",") for line in lines[1:]]
+    for i, parts in enumerate(rows, start=2):
         if len(parts) != dim + 2:
             raise MalformedFile(
                 "%s line %d: expected %d fields, got %d"
                 % (path, i, dim + 2, len(parts))
             )
-        ids.append(parts[0])
-        conds.append(parts[1])
-        try:
-            rows.append([float(v) for v in parts[2:]])
-        except ValueError:
-            raise MalformedFile("%s line %d: non-numeric value" % (path, i))
     if not rows:
         raise MalformedFile("%s: feature file has no rows" % path)
-    return FeatureMatrix(np.array(rows), tuple(ids), tuple(conds), layout)
+    values = _parse_finite(path, [parts[2:] for parts in rows],
+                           range(2, len(rows) + 2))
+    return FeatureMatrix(values, tuple(p[0] for p in rows),
+                         tuple(p[1] for p in rows), layout)

@@ -244,15 +244,21 @@ def build_cohort(n_subjects, seed, rest_duration_s=300.0, ex_duration_s=150.0,
     return out
 
 
-# ===== record files =======================================================
+# ===== text files =========================================================
 
-def save_record(record, path):
-    """Write the record format: `fs=<int>` header, one amplitude per line."""
-    fs = record.sampling_rate_hz
-    if fs != int(fs):
-        raise InvariantViolation("record format requires an integer sampling rate")
-    lines = ["fs=%d" % int(fs)]
-    lines.extend(repr(float(v)) for v in record.samples.tolist())
+def _read_text(path):
+    """Whole UTF-8 text file; an unreadable file raises IoFailure."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise IoFailure("cannot read %s: %s" % (path, exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedFile("%s: not UTF-8 text: %s" % (path, exc)) from exc
+
+
+def _write_lines(path, lines):
+    """Write each line with a newline ending; an OS failure raises IoFailure."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines))
@@ -261,34 +267,65 @@ def save_record(record, path):
         raise IoFailure("cannot write %s: %s" % (path, exc)) from exc
 
 
+def _parse_finite(path, rows, line_numbers):
+    """float64 array of numeric text, one row per line (a field or a list of
+    fields), each field read as Python's float() reads it.
+
+    One np.array call parses every row; only if it fails or yields NaN or
+    infinity are the fields re-read, to name the first bad one's line from
+    `line_numbers` (an iterable aligned with `rows`): MalformedFile for text
+    float() rejects, NonFiniteSample for a non-finite value.
+    """
+    try:
+        values = np.array(rows, dtype=float)
+        if np.isfinite(values).all():
+            return values
+    except ValueError:
+        pass
+    for row, line_no in zip(rows, line_numbers):
+        for field in [row] if isinstance(row, str) else row:
+            try:
+                v = float(field)
+            except ValueError:
+                raise MalformedFile("%s line %d: non-numeric value %r"
+                                    % (path, line_no, field)) from None
+            if not np.isfinite(v):
+                raise NonFiniteSample("%s line %d: non-finite value %r"
+                                      % (path, line_no, field))
+    raise InvariantViolation("%s: rows failed to parse as one array" % path)
+
+
+# ===== record files =======================================================
+
+def save_record(record, path):
+    """Write the record format: `fs=<int>` header, one amplitude per line."""
+    fs = record.sampling_rate_hz
+    if fs != int(fs):
+        raise InvariantViolation("record format requires an integer sampling rate")
+    _write_lines(path, ["fs=%d" % int(fs), *map(repr, record.samples.tolist())])
+
+
 def load_record(path, subject_id, condition):
-    """Parse a record file; lossless for values written by save_record."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    lines = text.split("\n")
-    if not lines or not lines[0].startswith("fs="):
+    """Parse a record file; lossless for values written by save_record.
+
+    Blank lines are skipped and each sample line is read as float() reads
+    it. A bad line raises MalformedFile or NonFiniteSample naming it.
+    """
+    lines = _read_text(path).split("\n")
+    if not lines[0].startswith("fs="):
         raise MalformedFile("%s line 1: expected `fs=<int>` header" % path)
     try:
         fs = int(lines[0][3:])
     except ValueError:
         raise MalformedFile("%s line 1: bad sampling rate %r" % (path, lines[0]))
-    values = []
-    for i, line in enumerate(lines[1:], start=2):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            v = float(line)
-        except ValueError:
-            raise MalformedFile("%s line %d: non-numeric sample %r" % (path, i, line))
-        if not np.isfinite(v):
-            raise NonFiniteSample("%s line %d: non-finite sample %r" % (path, i, line))
-        values.append(v)
-    if len(values) < 2 * fs:
+    body = lines[1:]
+    samples = _parse_finite(path, [ln for ln in body if ln.strip()],
+                            (i for i, ln in enumerate(body, 2) if ln.strip()))
+    if samples.size < 2 * fs:
         raise TooShort(
-            "%s: %d samples is under the 2 s minimum (%d)" % (path, len(values), 2 * fs)
+            "%s: %d samples is under the 2 s minimum (%d)" % (path, samples.size, 2 * fs)
         )
-    return EcgRecord(subject_id, condition, float(fs), np.array(values))
+    return EcgRecord(subject_id, condition, float(fs), samples)
 
 
 # ===== manifests ==========================================================
@@ -330,17 +367,11 @@ def save_manifest(manifest, path):
         lines.append("# seed=%d" % manifest.seed)
     for (sid, cond, rel, dur) in manifest.entries:
         lines.append("%s,%s,%s,%s" % (sid, cond, rel, repr(float(dur))))
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines))
-            fh.write("\n")
-    except OSError as exc:
-        raise IoFailure("cannot write %s: %s" % (path, exc)) from exc
+    _write_lines(path, lines)
 
 
 def load_manifest(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(path)
     entries = []
     seed = None
     for i, line in enumerate(text.split("\n"), start=1):

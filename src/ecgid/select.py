@@ -15,12 +15,12 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     InvariantViolation,
-    MalformedFile,
     MissingCondition,
     TooFewRows,
     TooFewSubjects,
 )
 from .features import FeatureMatrix
+from .ingest import _write_lines
 
 SIGMA_FLOOR = 1e-6
 
@@ -257,36 +257,4 @@ def save_selection_weights(weights, path):
         lines.append("%d,%s,%s,%s,%d" % (
             i, repr(float(weights.w[i])), repr(float(weights.w1[i])),
             repr(float(weights.w2[i])), flags[i]))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
-
-
-def load_selection_weights(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().split("\n") if ln]
-    if not lines or not lines[0].startswith("lambda="):
-        raise MalformedFile("%s line 1: expected `lambda=<v>,top_n=<n>`" % path)
-    head = lines[0].split(",")
-    try:
-        lam = float(head[0][len("lambda="):])
-        top_n = int(head[1][len("top_n="):])
-    except (IndexError, ValueError):
-        raise MalformedFile("%s line 1: bad header %r" % (path, lines[0]))
-    w, w1, w2, flags = [], [], [], []
-    for i, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise MalformedFile("%s line %d: expected 5 fields" % (path, i))
-        try:
-            w.append(float(parts[1]))
-            w1.append(float(parts[2]))
-            w2.append(float(parts[3]))
-            flags.append(int(parts[4]))
-        except ValueError:
-            raise MalformedFile("%s line %d: bad field in %r"
-                                % (path, i, line))
-    w = np.array(w)
-    ranked = rank_descending(w)
-    selected = tuple(int(i) for i in ranked if flags[i])
-    return SelectionWeights(w, np.array(w1), np.array(w2), lam, selected, top_n)
+    _write_lines(path, lines)

@@ -1,6 +1,7 @@
 """Tests for the experiment harness: config, splits, runs, reports."""
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -24,12 +25,17 @@ from ecgid.bench import (
     sweep_top_n,
     _split_indices,
 )
+from ecgid.cli import cli_main
 from ecgid.errors import (
     EmptyCohort,
     InvariantViolation,
+    IoFailure,
     MalformedFile,
+    NoBeatsFound,
+    StageFailure,
 )
 from ecgid.features import FeatureMatrix
+from ecgid.ingest import EcgRecord, save_record
 
 
 @pytest.fixture(scope="module")
@@ -267,6 +273,28 @@ def test_run_pipeline_band_variant(small_manifest):
 def test_run_pipeline_unknown_protocol(small_manifest):
     with pytest.raises(InvariantViolation):
         run_pipeline(small_manifest, PipelineConfig(), "loocv", seed=1)
+
+
+def test_detection_failure_names_its_record(tmp_path):
+    manifest = write_cohort(str(tmp_path), n_subjects=3, seed=5)
+    save_record(EcgRecord("s02", "post_exercise", 300.0, np.zeros(6000)),
+                str(tmp_path / "s02_post_exercise.txt"))
+    with pytest.raises(StageFailure, match=r"subject s02/post_exercise ") as exc:
+        run_pipeline(manifest, PipelineConfig(), "rest_ex", seed=1)
+    assert isinstance(exc.value.__cause__, NoBeatsFound)
+    assert cli_main(["run", "--manifest", manifest, "--protocol",
+                     "rest_ex"]) == 2
+
+
+def test_missing_manifest_or_record_is_a_typed_error(tmp_path):
+    missing = str(tmp_path / "absent" / "manifest.txt")
+    with pytest.raises(IoFailure, match=r"absent"):
+        run_pipeline(missing, PipelineConfig(), "rest_rest", seed=1)
+    manifest = write_cohort(str(tmp_path), n_subjects=3, seed=5)
+    os.remove(str(tmp_path / "s03_rest.txt"))
+    with pytest.raises(StageFailure, match=r"s03/rest .*s03_rest\.txt") as exc:
+        run_pipeline(manifest, PipelineConfig(), "rest_rest", seed=1)
+    assert isinstance(exc.value.__cause__, IoFailure)
 
 
 def test_fused_kl_run_and_sweep(fused_manifest):

@@ -9,7 +9,6 @@ from ecgid.cli import cli_main
 from ecgid.errors import InvariantViolation
 from ecgid.features import load_feature_matrix
 from ecgid.ingest import load_manifest
-from ecgid.select import load_selection_weights
 
 
 @pytest.fixture(scope="module")
@@ -69,8 +68,10 @@ def test_featurize_and_select(gen_dir, tmp_path):
     weights = str(tmp_path / "weights.csv")
     assert cli_main(["select", "--features", feats, "--lam", "0.3",
                      "--top-n", "10", "--out", weights]) == 0
-    w = load_selection_weights(weights)
-    assert len(w.selected) == 10
+    head, *rows = open(weights, encoding="utf-8").read().split("\n")[:-1]
+    assert head == "lambda=0.3,top_n=10"
+    assert len(rows) == 80
+    assert sum(row.endswith(",1") for row in rows) == 10
 
 
 def test_run_writes_report(gen_dir, tmp_path):
@@ -125,6 +126,15 @@ def test_data_errors_exit_2(tmp_path, capsys):
     bad_cfg.write_text("junk=1\n", encoding="utf-8")
     assert cli_main(["run", "--manifest", missing, "--protocol", "rest_rest",
                      "--config", str(bad_cfg)]) == 2
+
+
+def test_non_utf8_inputs_exit_2(gen_dir, tmp_path, capsys):
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"stage=\xff\n")
+    assert cli_main(["run", "--manifest", manifest_of(gen_dir), "--protocol",
+                     "rest_rest", "--config", str(binary)]) == 2
+    assert cli_main(["report", "--inputs", str(binary)]) == 2
+    assert "binary.txt: not UTF-8" in capsys.readouterr().err
 
 
 def test_duplicate_manifest_record_exits_2(gen_dir, tmp_path, capsys):

@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 from conftest import FS, fixed_params, match_peaks
+from detect_oracle import reference_detect_r_peaks
 
 from ecgid.detect import (
     QrsDetection,
@@ -23,7 +24,7 @@ from ecgid.errors import (
     SignalTooShort,
     WindowTooLong,
 )
-from ecgid.ingest import synthesize_record
+from ecgid.ingest import build_cohort, synthesize_record
 
 
 def preprocessed(params, condition, duration_s, noise_on, seed):
@@ -205,3 +206,59 @@ def test_qrsdetection_invariant_checks():
     with pytest.raises(InvariantViolation):  # width above the band
         QrsDetection(np.array([100, 300]), np.array([40, 290]),
                      np.array([160, 310]), FS)
+
+
+# ===== array form against the per-candidate reference =====================
+
+def assert_same_as_reference(x):
+    det = detect_r_peaks(x, FS)
+    ref = reference_detect_r_peaks(x, FS)
+    assert np.array_equal(det.r_peaks, ref.r_peaks)
+    assert np.array_equal(det.qrs_onsets, ref.qrs_onsets)
+    assert np.array_equal(det.qrs_offsets, ref.qrs_offsets)
+    return det
+
+
+def attenuated_hr60_record(scale):
+    rec, truth = synthesize_record(fixed_params(), "rest", 30.0, False, 5)
+    x = rec.samples.copy()
+    x[truth[15] - 60:truth[15] + 60] *= scale
+    return preprocess_ecg(x, FS), truth
+
+
+def test_matches_reference_on_hr60_and_hr150():
+    x, _ = preprocessed(fixed_params(), "rest", 30.0, False, 5)
+    assert_same_as_reference(x)
+    x, _ = preprocessed(fixed_params(rest_hr=70.0, ex_hr=150.0),
+                        "post_exercise", 30.0, False, 6)
+    assert_same_as_reference(x)
+
+
+def test_search_back_recovers_weak_beat_like_reference():
+    # at 0.3 of its amplitude beat 15 clears only the halved search-back
+    # thresholds; at 0.25 it clears neither
+    x, truth = attenuated_hr60_record(0.3)
+    det = assert_same_as_reference(x)
+    assert match_peaks(det.r_peaks, truth, tol=3) == (29, 29, 29)
+    x, truth = attenuated_hr60_record(0.25)
+    det = assert_same_as_reference(x)
+    assert match_peaks(det.r_peaks, truth, tol=3) == (28, 28, 29)
+
+
+def test_matches_reference_on_noisy_cohort_with_dropouts():
+    rng = np.random.default_rng(17)
+    for rec, truth in build_cohort(6, 31, rest_duration_s=30.0,
+                                   ex_duration_s=20.0, noise_on=True):
+        assert_same_as_reference(preprocess_ecg(rec.samples, FS))
+        x = rec.samples.copy()
+        for r in rng.choice(truth[2:-1], size=3, replace=False):
+            x[r - 30:r + 30] *= rng.uniform(0.2, 0.5)
+        assert_same_as_reference(preprocess_ecg(x, FS))
+
+
+def test_matches_reference_on_white_noise():
+    # no beats: candidates are dense and irregular, so the RR average and
+    # the integrator-window edges decide many more of them
+    rng = np.random.default_rng(5)
+    for _ in range(12):
+        assert_same_as_reference(preprocess_ecg(rng.standard_normal(6000), FS))

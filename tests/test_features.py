@@ -11,7 +11,9 @@ from ecgid.errors import (
     DegenerateWindow,
     DimensionMismatch,
     InvariantViolation,
+    IoFailure,
     MalformedFile,
+    NonFiniteSample,
     TooFewRows,
     WindowTooLong,
 )
@@ -397,3 +399,8 @@ def test_feature_matrix_load_errors(tmp_path):
     p.write_text("layout=toy3,dim=3\ns1,rest,1.0,2.0,oops\n")
     with pytest.raises(MalformedFile):
         load_feature_matrix(p)
+    p.write_text("layout=toy3,dim=3\ns1,rest,1,2,3\ns1,rest,1.0,nan,3\n")
+    with pytest.raises(NonFiniteSample, match=r"bad\.csv line 3:"):
+        load_feature_matrix(p)
+    with pytest.raises(IoFailure, match=r"cannot read .*missing\.csv"):
+        load_feature_matrix(tmp_path / "missing.csv")

@@ -1,12 +1,20 @@
 """Generator geometry, record/manifest round trips, and validation errors."""
 
 import dataclasses
+import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ecgid.errors import (
+    EcgidError,
     InvariantViolation,
+    IoFailure,
     MalformedFile,
     NonFiniteSample,
     TooShort,
@@ -205,6 +213,126 @@ def test_load_record_error_paths(tmp_path):
     short.write_text("fs=300\n" + "0.1\n" * 100)
     with pytest.raises(TooShort):
         load_record(short, "s", "rest")
+
+
+# ===== record file contract ===============================================
+
+PAD = "0.5\n" * 200  # 2 s at the 100 Hz these tests write
+
+
+def write_record_text(path, body, fs=100):
+    with open(path, "wb") as fh:
+        fh.write(("fs=%d\n" % fs + body).encode("utf-8"))
+    return path
+
+
+def test_load_record_skips_blank_lines(tmp_path):
+    path = write_record_text(tmp_path / "r.txt", "\n\n1.5\n\n \n" + PAD + "\n\n")
+    rec = load_record(path, "s", "rest")
+    assert rec.samples.size == 201
+    assert rec.samples[0] == 1.5
+
+
+def test_load_record_accepts_surrounding_whitespace_and_crlf(tmp_path):
+    body = "  1.5 \r\n\t-2\t\r\n\u00a03\u2003\r\n" + PAD.replace("\n", "\r\n")
+    rec = load_record(write_record_text(tmp_path / "r.txt", body), "s", "rest")
+    assert rec.samples[:3].tolist() == [1.5, -2.0, 3.0]
+    assert rec.samples.size == 203
+
+
+def test_load_record_reads_underscored_digits_like_float(tmp_path):
+    rec = load_record(write_record_text(tmp_path / "r.txt", "1_0\n" + PAD),
+                      "s", "rest")
+    assert rec.samples[0] == 10.0
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-Infinity", "1e400"])
+def test_load_record_non_finite_names_line(tmp_path, text):
+    path = write_record_text(tmp_path / "r.txt", PAD + "\n" + text + "\n")
+    with pytest.raises(NonFiniteSample, match=r"r\.txt line 203:"):
+        load_record(path, "s", "rest")
+
+
+def test_load_record_non_numeric_names_line(tmp_path):
+    # the first bad line is named, whichever kind of fault comes first
+    path = write_record_text(tmp_path / "r.txt", "\n1.0 2.0\n" + PAD + "nan\n")
+    with pytest.raises(MalformedFile, match=r"r\.txt line 3:"):
+        load_record(path, "s", "rest")
+    path = write_record_text(tmp_path / "r.txt", PAD + "inf\n0x10\n")
+    with pytest.raises(NonFiniteSample, match=r"r\.txt line 202:"):
+        load_record(path, "s", "rest")
+
+
+def test_loaders_report_unreadable_files(tmp_path):
+    missing = tmp_path / "missing.txt"
+    with pytest.raises(IoFailure, match=r"cannot read .*missing\.txt"):
+        load_record(missing, "s", "rest")
+    with pytest.raises(IoFailure, match=r"cannot read .*missing\.txt"):
+        load_manifest(missing)
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"fs=300\n\xff\xfe\n")
+    with pytest.raises(MalformedFile, match=r"binary\.txt: not UTF-8"):
+        load_record(binary, "s", "rest")
+
+
+def per_line_float_load(path):
+    """Reference reader, one float() per line: (samples, None) on success,
+    else (None, (error type, 1-based line))."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    values = []
+    for i, line in enumerate(lines[1:], start=2):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            v = float(line)
+        except ValueError:
+            return None, (MalformedFile, i)
+        if not math.isfinite(v):
+            return None, (NonFiniteSample, i)
+        values.append(v)
+    return np.array(values), None
+
+
+EDGE_LINES = ["", " ", "\r", "\t", "1_0", "_1", "1__0", "nan", "-inf",
+              "1e400", "-0.0", "5e-324", "0x10", "1e", ".5", "5.", "+1",
+              "\u0661\u0662", "1,5", "1 2", "\x0c2\x0b"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats().map(repr), st.sampled_from(EDGE_LINES),
+                          st.text(max_size=6)), max_size=40))
+@example(["-0.0", "5e-324", " 1_0 "])
+@example(["1.0", "nan", "oops"])
+def test_load_record_matches_per_line_float_oracle(lines):
+    with tempfile.TemporaryDirectory() as d:
+        path = write_record_text(os.path.join(d, "r.txt"),
+                                 PAD + "\n".join(lines) + "\n")
+        want, fault = per_line_float_load(path)
+        if fault is None:
+            got = load_record(path, "s", "rest").samples
+            assert got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+        else:
+            with pytest.raises(EcgidError) as exc:
+                load_record(path, "s", "rest")
+            assert type(exc.value) is fault[0]
+            assert "line %d:" % fault[1] in str(exc.value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(arrays(np.float64, st.integers(200, 400),
+              elements=st.floats(allow_nan=False, allow_infinity=False)))
+@example(np.array([-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308]
+                  * 50))
+def test_save_load_record_is_identity(samples):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "r.txt")
+        save_record(EcgRecord("s", "rest", 100.0, samples), path)
+        back = load_record(path, "s", "rest")
+    assert back.sampling_rate_hz == 100.0
+    assert back.samples.tobytes() == samples.tobytes()
 
 
 # ===== manifest ===========================================================

@@ -6,7 +6,6 @@ import pytest
 from ecgid.errors import (
     DimensionMismatch,
     InvariantViolation,
-    MalformedFile,
     MissingCondition,
     TooFewRows,
     TooFewSubjects,
@@ -17,7 +16,6 @@ from ecgid.select import (
     SelectionWeights,
     apply_selection,
     kl_sym,
-    load_selection_weights,
     pca_fit,
     pca_transform,
     rank_descending,
@@ -221,24 +219,14 @@ def test_selection_weights_round_trip(tmp_path):
     sw = select_features(aux, 0.3, top_n=2)
     path = tmp_path / "weights.csv"
     save_selection_weights(sw, path)
-    back = load_selection_weights(path)
-    assert np.array_equal(back.w, sw.w)
-    assert np.array_equal(back.w1, sw.w1)
-    assert np.array_equal(back.w2, sw.w2)
-    assert back.lam == sw.lam
-    assert back.top_n == sw.top_n
-    assert back.selected == sw.selected
-
-
-def test_selection_weights_bad_field_names_path_and_line(tmp_path):
-    aux = make_aux(subject_shift=3.0, condition_shift=2.0, seed=14)
-    path = tmp_path / "weights.csv"
-    save_selection_weights(select_features(aux, 0.3, top_n=2), path)
-    lines = path.read_text(encoding="utf-8").split("\n")
-    lines[2] = lines[2].replace(lines[2].split(",")[2], "abc")
-    path.write_text("\n".join(lines), encoding="utf-8")
-    with pytest.raises(MalformedFile, match=r"weights\.csv line 3"):
-        load_selection_weights(path)
+    head, *rows = path.read_text(encoding="utf-8").split("\n")[:-1]
+    assert head == "lambda=%r,top_n=%d" % (sw.lam, sw.top_n)
+    fields = np.array([row.split(",") for row in rows], dtype=float)
+    assert np.array_equal(fields[:, 0], np.arange(sw.w.size))
+    assert np.array_equal(fields[:, 1], sw.w)
+    assert np.array_equal(fields[:, 2], sw.w1)
+    assert np.array_equal(fields[:, 3], sw.w2)
+    assert set(np.flatnonzero(fields[:, 4])) == set(sw.selected)
 
 
 # ===== PCA ================================================================
