@@ -82,6 +82,11 @@ class PipelineConfig:
                 "ac needs n_lags < window_s * fs / 2 at fs = 300")
         if self.max_beats_per_subject < 1:
             raise InvariantViolation("max_beats_per_subject must be >= 1")
+        for name in ("c", "gamma", "tol"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise InvariantViolation("%s must be finite and > 0" % name)
+        if self.max_epochs < 1:
+            raise InvariantViolation("max_epochs must be >= 1")
 
     @property
     def stage_id(self):
@@ -400,21 +405,16 @@ def fit_pipeline_state(train, config, selection=None):
     return FittedState(config, selection, zparams, pmodel, None, m)
 
 
-def transform_features(state, m):
+def predict_with_state(state, m):
     """Apply the fitted z-score and PCA stages (selection is applied at the
-    cohort level before splitting)."""
+    cohort level before splitting), then classify."""
     if state.zscore is not None:
         m = _features.zscore_apply(state.zscore, m)
     if state.pca is not None:
         m = _select.pca_transform(state.pca, m)
-    return m
-
-
-def predict_with_state(state, m):
-    t = transform_features(state, m)
     if state.svm is not None:
-        return _classify.svm_predict(state.svm, t)
-    return _classify.knn_predict(state.knn_train, t, k=state.config.knn_k)
+        return _classify.svm_predict(state.svm, m)
+    return _classify.knn_predict(state.knn_train, m, k=state.config.knn_k)
 
 
 def state_fingerprint(state):
@@ -507,6 +507,61 @@ def subject_majority_accuracy(pred, truth):
     return hits / len(per)
 
 
+def _run_top_ns(manifest_path, config, protocol, seed, top_ns, cache):
+    """One report per top_n in `top_ns`. Featurizing, the aux/eval split and
+    the selection weights happen once, and only the evaluation rows outlive
+    them; each top_n keeps a prefix of the one ranking of the weights."""
+    if not top_ns:
+        return []
+    if protocol not in PROTOCOLS:
+        raise InvariantViolation("unknown protocol %r (one of %s)"
+                                 % (protocol, ", ".join(PROTOCOLS)))
+    cache = {} if cache is None else cache
+    matrix, skipped = cohort_matrix(manifest_path, config, protocol, seed,
+                                    cache)
+    selections = [None] * len(top_ns)
+    if config.stage == "fused_kl":
+        man = _manifest(cache, manifest_path)
+        aux_sids, eval_sids = aux_eval_split(man.subject_ids, seed)
+        sid = np.array(matrix.subject_ids)
+        aux_rows = np.flatnonzero(np.isin(sid, aux_sids))
+        eval_rows = np.flatnonzero(np.isin(sid, eval_sids))
+        full = _select.select_features(_features.take_rows(matrix, aux_rows),
+                                       config.lam, max(top_ns))
+        matrix = _features.take_rows(matrix, eval_rows)
+        selections = [replace(full, selected=full.selected[:n], top_n=n)
+                      for n in top_ns]
+    reports = []
+    for top_n, selection in zip(top_ns, selections):
+        cfg = replace(config, top_n=top_n)
+        m = matrix if selection is None else \
+            _select.apply_selection(selection, matrix)
+        split = split_protocol(m, protocol)
+        state = fit_pipeline_state(split.train, cfg, selection)
+        train_pred = predict_with_state(state, split.train)
+        test_pred = predict_with_state(state, split.test)
+        converged = state.svm.all_converged if state.svm is not None else True
+        reports.append(ExperimentReport(
+            pipeline=cfg.pipeline_id,
+            protocol=protocol,
+            train_accuracy=_classify.accuracy(train_pred,
+                                              split.train.subject_ids),
+            test_accuracy=_classify.accuracy(test_pred, split.test.subject_ids),
+            subject_majority_accuracy=subject_majority_accuracy(
+                test_pred, split.test.subject_ids),
+            n_subjects=split.n_subjects,
+            train_beats=split.train.n_rows,
+            test_beats=split.test.n_rows,
+            skipped_beats=skipped,
+            dropped_subjects=split.dropped_subjects,
+            converged=converged,
+            seed=seed,
+            confusion=_confusion(test_pred, split.test.subject_ids),
+            state_fingerprint=state_fingerprint(state),
+        ))
+    return reports
+
+
 def run_pipeline(manifest_path, config, protocol, seed, cache=None):
     """Execute one experiment end to end.
 
@@ -529,60 +584,18 @@ def run_pipeline(manifest_path, config, protocol, seed, cache=None):
     -------
     ExperimentReport
     """
-    if protocol not in PROTOCOLS:
-        raise InvariantViolation("unknown protocol %r (one of %s)"
-                                 % (protocol, ", ".join(PROTOCOLS)))
-    cache = {} if cache is None else cache
-    matrix, skipped = cohort_matrix(manifest_path, config, protocol, seed,
-                                    cache)
-    selection = None
-    if config.stage == "fused_kl":
-        man = _manifest(cache, manifest_path)
-        aux_sids, eval_sids = aux_eval_split(man.subject_ids, seed)
-        sid = np.array(matrix.subject_ids)
-        aux_rows = np.flatnonzero(np.isin(sid, aux_sids))
-        eval_rows = np.flatnonzero(np.isin(sid, eval_sids))
-        aux = _features.take_rows(matrix, aux_rows)
-        selection = _select.select_features(aux, config.lam, config.top_n)
-        matrix = _select.apply_selection(selection,
-                                         _features.take_rows(matrix, eval_rows))
-    split = split_protocol(matrix, protocol)
-    state = fit_pipeline_state(split.train, config, selection)
-    train_pred = predict_with_state(state, split.train)
-    test_pred = predict_with_state(state, split.test)
-    converged = state.svm.all_converged if state.svm is not None else True
-    return ExperimentReport(
-        pipeline=config.pipeline_id,
-        protocol=protocol,
-        train_accuracy=_classify.accuracy(train_pred, split.train.subject_ids),
-        test_accuracy=_classify.accuracy(test_pred, split.test.subject_ids),
-        subject_majority_accuracy=subject_majority_accuracy(
-            test_pred, split.test.subject_ids),
-        n_subjects=split.n_subjects,
-        train_beats=split.train.n_rows,
-        test_beats=split.test.n_rows,
-        skipped_beats=skipped,
-        dropped_subjects=split.dropped_subjects,
-        converged=converged,
-        seed=seed,
-        confusion=_confusion(test_pred, split.test.subject_ids),
-        state_fingerprint=state_fingerprint(state),
-    )
+    return _run_top_ns(manifest_path, config, protocol, seed,
+                       [config.top_n], cache)[0]
 
 
 def sweep_top_n(manifest_path, config, protocol, seed, top_n_values,
                 cache=None):
-    """Re-run a fused_kl pipeline across retained-feature counts, sharing
-    the featurization cache."""
+    """One fused_kl report per retained-feature count, each equal to
+    run_pipeline at that top_n; the selection weights are fitted once."""
     if config.stage != "fused_kl":
         raise InvariantViolation("sweep applies to the fused_kl stage")
-    cache = {} if cache is None else cache
-    reports = []
-    for top_n in top_n_values:
-        cfg = replace(config, top_n=int(top_n))
-        reports.append(run_pipeline(manifest_path, cfg, protocol, seed,
-                                    cache))
-    return reports
+    return _run_top_ns(manifest_path, config, protocol, seed,
+                       [int(n) for n in top_n_values], cache)
 
 
 def render_report(reports, fmt="csv"):

@@ -368,28 +368,35 @@ def zscore_apply(params, m):
 def save_feature_matrix(m, path):
     lines = ["layout=%s,dim=%d" % (m.layout_id, m.dim)]
     for sid, cond, row in zip(m.subject_ids, m.conditions, m.values.tolist()):
-        lines.append("%s,%s,%s" % (sid, cond, ",".join(map(repr, row))))
+        lines.append(",".join([sid, cond, *map(repr, row)]))
     _write_lines(path, lines)
 
 
 def load_feature_matrix(path):
-    lines = [ln for ln in _read_text(path).split("\n") if ln]
-    if not lines:
+    """Parse a feature file; empty lines are skipped, and each rejection
+    names its 1-based line in the file."""
+    numbered = [(i, ln) for i, ln in
+                enumerate(_read_text(path).split("\n"), start=1) if ln]
+    if not numbered:
         raise MalformedFile("%s: empty feature file" % path)
-    m = re.match(r"^layout=([^,]+),dim=(\d+)$", lines[0])
+    m = re.match(r"^layout=([^,]+),dim=(\d+)$", numbered[0][1])
     if not m:
-        raise MalformedFile("%s line 1: expected `layout=<id>,dim=<n>`" % path)
+        raise MalformedFile("%s line %d: expected `layout=<id>,dim=<n>`"
+                            % (path, numbered[0][0]))
     layout, dim = m.group(1), int(m.group(2))
-    rows = [line.split(",") for line in lines[1:]]
-    for i, parts in enumerate(rows, start=2):
+    line_nos = [i for i, _ in numbered[1:]]
+    rows = [line.split(",") for _, line in numbered[1:]]
+    for i, parts in zip(line_nos, rows):
         if len(parts) != dim + 2:
             raise MalformedFile(
                 "%s line %d: expected %d fields, got %d"
                 % (path, i, dim + 2, len(parts))
             )
+        if parts[1] not in CONDITIONS:
+            raise MalformedFile("%s line %d: unknown condition %r"
+                                % (path, i, parts[1]))
     if not rows:
         raise MalformedFile("%s: feature file has no rows" % path)
-    values = _parse_finite(path, [parts[2:] for parts in rows],
-                           range(2, len(rows) + 2))
+    values = _parse_finite(path, [parts[2:] for parts in rows], line_nos)
     return FeatureMatrix(values, tuple(p[0] for p in rows),
                          tuple(p[1] for p in rows), layout)

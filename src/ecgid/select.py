@@ -191,13 +191,17 @@ class SelectionWeights:
         object.__setattr__(self, "selected", tuple(int(i) for i in self.selected))
         if not 0 <= self.lam <= 1:
             raise InvariantViolation("lambda must lie in [0, 1]")
+        if not 1 <= self.top_n <= self.w.size:
+            raise InvariantViolation("top_n must lie in [1, dim]")
+        if len(self.selected) != self.top_n:
+            raise InvariantViolation("selected must hold top_n indices")
         if np.any(self.w1 < 0) or np.any(self.w2 < 0):
             raise InvariantViolation("w1/w2 are sums of divergences, >= 0")
         recomputed = self.lam * self.w1 - (1.0 - self.lam) * self.w2
         if not np.array_equal(recomputed, self.w):
             raise InvariantViolation("w must equal lambda*w1 - (1-lambda)*w2")
         ranked = rank_descending(self.w)
-        if list(self.selected) != list(ranked[:len(self.selected)]):
+        if list(self.selected) != list(ranked[:self.top_n]):
             raise InvariantViolation(
                 "selected must be the top weights, ties by ascending index"
             )
@@ -218,17 +222,13 @@ def select_features(aux, lam, top_n):
         Auxiliary cohort with both conditions per subject.
     lam : float in [0, 1]
         Trade-off weight; paper-style default is 0.3.
-    top_n : int
+    top_n : int in [1, aux.dim]
         Number of features kept (by descending w, ties ascending index).
 
     Returns
     -------
     SelectionWeights
     """
-    if not 0 <= lam <= 1:
-        raise InvariantViolation("lambda must lie in [0, 1]")
-    if top_n < 1 or top_n > aux.dim:
-        raise InvariantViolation("top_n must lie in [1, dim]")
     w1, w2 = _weight_vectors(aux)
     w = lam * w1 - (1.0 - lam) * w2
     selected = tuple(int(i) for i in rank_descending(w)[:top_n])

@@ -100,6 +100,14 @@ def test_config_validation():
         PipelineConfig(lam=1.5)
     with pytest.raises(InvariantViolation):
         PipelineConfig(stage="ac", n_lags=200, window_s=1.0)
+    for name in ("c", "gamma", "tol"):
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(InvariantViolation, match=name):
+                PipelineConfig(**{name: bad})
+    for bad in (0, -1):
+        with pytest.raises(InvariantViolation, match="max_epochs"):
+            PipelineConfig(max_epochs=bad)
+    PipelineConfig(c=1e-3, gamma=1e-9, tol=1e-12, max_epochs=1)
 
 
 def test_pipeline_ids():
@@ -297,7 +305,7 @@ def test_missing_manifest_or_record_is_a_typed_error(tmp_path):
     assert isinstance(exc.value.__cause__, IoFailure)
 
 
-def test_fused_kl_run_and_sweep(fused_manifest):
+def test_fused_kl_run_and_sweep(fused_manifest, capsys):
     cfg = PipelineConfig(stage="fused_kl", lam=0.3, top_n=20, normalize=True,
                          max_beats_per_subject=15)
     cache = {}
@@ -311,6 +319,45 @@ def test_fused_kl_run_and_sweep(fused_manifest):
     assert [r.pipeline for r in reports] == [
         "fused_kl(0.3,10)+zscore+svm", "fused_kl(0.3,20)+zscore+svm"]
     assert reports[1] == report  # same config, same seed, shared cache
+
+    # unsorted with a duplicate: each report is a standalone run at its top_n
+    reports = sweep_top_n(fused_manifest, cfg, "rest_ex", 2, [20, 10, 10],
+                          cache=cache)
+    assert reports == [
+        run_pipeline(fused_manifest, dataclasses.replace(cfg, top_n=n),
+                     "rest_ex", 2) for n in (20, 10, 10)]
+    assert sweep_top_n(fused_manifest, cfg, "rest_ex", 2, [], cache=cache) \
+        == []
+    dim = cohort_matrix(fused_manifest, cfg, "rest_ex", 2, cache)[0].dim
+    for bad in (0, -5, dim + 1):
+        with pytest.raises(InvariantViolation, match=r"top_n must lie"):
+            sweep_top_n(fused_manifest, cfg, "rest_ex", 2, [bad], cache=cache)
+    assert cli_main(["sweep", "--manifest", fused_manifest, "--protocol",
+                     "rest_ex", "--top-n-list=,"]) == 2
+    assert "no reports to render" in capsys.readouterr().err
+
+
+def test_sweep_featurizes_and_selects_once(fused_manifest, monkeypatch):
+    calls = {"cohort_matrix": 0, "select_features": 0, "svm_train": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(bench, "cohort_matrix")
+    counting(bench._select, "select_features")
+    counting(bench._classify, "svm_train")
+    cfg = PipelineConfig(stage="fused_kl", normalize=True,
+                         max_beats_per_subject=15)
+    assert sweep_top_n(fused_manifest, cfg, "rest_ex", 2, []) == []
+    assert calls == {"cohort_matrix": 0, "select_features": 0, "svm_train": 0}
+    reports = sweep_top_n(fused_manifest, cfg, "rest_ex", 2, [5, 20, 10])
+    assert len(reports) == 3
+    assert calls == {"cohort_matrix": 1, "select_features": 1, "svm_train": 3}
 
 
 def test_sweep_requires_fused_kl(small_manifest):

@@ -126,6 +126,10 @@ def test_data_errors_exit_2(tmp_path, capsys):
     bad_cfg.write_text("junk=1\n", encoding="utf-8")
     assert cli_main(["run", "--manifest", missing, "--protocol", "rest_rest",
                      "--config", str(bad_cfg)]) == 2
+    bad_cfg.write_text("gamma=-1\n", encoding="utf-8")
+    assert cli_main(["run", "--manifest", missing, "--protocol", "rest_rest",
+                     "--config", str(bad_cfg)]) == 2
+    assert "gamma must be finite and > 0" in capsys.readouterr().err
 
 
 def test_non_utf8_inputs_exit_2(gen_dir, tmp_path, capsys):

@@ -1,8 +1,15 @@
 """Extractor dimensions, window-level oracles, z-score, and persistence."""
 
+import math
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from conftest import FS, fixed_params
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import ecgid.features
 from ecgid.detect import QrsDetection, detect_r_peaks
@@ -10,6 +17,7 @@ from ecgid.dsp import hamming_window, preprocess_ecg
 from ecgid.errors import (
     DegenerateWindow,
     DimensionMismatch,
+    EcgidError,
     InvariantViolation,
     IoFailure,
     MalformedFile,
@@ -404,3 +412,92 @@ def test_feature_matrix_load_errors(tmp_path):
         load_feature_matrix(p)
     with pytest.raises(IoFailure, match=r"cannot read .*missing\.csv"):
         load_feature_matrix(tmp_path / "missing.csv")
+    # blank lines count: the bad row is line 4 of the file
+    p.write_text("layout=toy3,dim=3\ns1,rest,1,2,3\n\ns1,rest,1,x,3\n")
+    with pytest.raises(MalformedFile, match=r"bad\.csv line 4:"):
+        load_feature_matrix(p)
+    p.write_text("layout=toy3,dim=3\n\ns1,rest,1,2\n")
+    with pytest.raises(MalformedFile, match=r"bad\.csv line 3: expected 5"):
+        load_feature_matrix(p)
+    p.write_text("layout=toy3,dim=3\ns1,walk,1,2,3\n")
+    with pytest.raises(MalformedFile, match=r"bad\.csv line 2: unknown"):
+        load_feature_matrix(p)
+
+
+def per_line_float_load_matrix(path, dim):
+    """Reference reader for a feature file whose line 1 is a valid header:
+    (values, None) on success, else (None, (error type, 1-based line)).
+    Field counts and conditions are checked on every row before any value
+    is read; line None means the file has no rows."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    rows = [(i, line.split(",")) for i, line in enumerate(lines[1:], start=2)
+            if line]
+    for i, parts in rows:
+        if len(parts) != dim + 2 or parts[1] not in ("rest", "post_exercise"):
+            return None, (MalformedFile, i)
+    if not rows:
+        return None, (MalformedFile, None)
+    values = []
+    for i, parts in rows:
+        for field in parts[2:]:
+            try:
+                v = float(field)
+            except ValueError:
+                return None, (MalformedFile, i)
+            if not math.isfinite(v):
+                return None, (NonFiniteSample, i)
+            values.append(v)
+    return np.array(values).reshape(len(rows), dim), None
+
+
+FEATURE_FIELDS = st.one_of(
+    st.floats().map(repr), st.text(alphabet="0123456789.e+-_x ", max_size=5),
+    st.sampled_from(["nan", "-inf", "1e400", "-0.0", "5e-324", "1_0", ""]))
+FEATURE_ROWS = st.builds(
+    lambda sid, cond, vals: ",".join([sid, cond] + vals),
+    st.sampled_from(["s1", "s2", ""]),
+    st.sampled_from(["rest", "post_exercise", "walk"]),
+    st.lists(FEATURE_FIELDS, min_size=2, max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(FEATURE_ROWS, st.sampled_from(["", " ", "\r"]),
+                          st.text(max_size=8)), max_size=12))
+@example(["s1,rest,1,2,3", "", "s1,rest,1,x,3"])
+@example(["", "s1,rest,1,2"])
+def test_load_feature_matrix_matches_per_line_float_oracle(lines):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "f.csv")
+        with open(path, "wb") as fh:
+            fh.write(("layout=toy3,dim=3\n" + "\n".join(lines) + "\n")
+                     .encode("utf-8"))
+        want, fault = per_line_float_load_matrix(path, 3)
+        if fault is None:
+            got = load_feature_matrix(path).values
+            assert got.tobytes() == want.tobytes()
+        else:
+            with pytest.raises(EcgidError) as exc:
+                load_feature_matrix(path)
+            assert type(exc.value) is fault[0]
+            if fault[1] is not None:
+                assert "line %d:" % fault[1] in str(exc.value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(0, 6)),
+              elements=st.floats(allow_nan=False, allow_infinity=False)))
+@example(np.array([[-0.0, 5e-324, -2.2250738585072014e-308,
+                    1.7976931348623157e308]]))
+def test_save_load_feature_matrix_is_identity(values):
+    n = values.shape[0]
+    m = FeatureMatrix(values, ["s%d" % i for i in range(n)],
+                      ["rest", "post_exercise"] * (n // 2) + ["rest"] * (n % 2),
+                      "toy")
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "f.csv")
+        save_feature_matrix(m, path)
+        back = load_feature_matrix(path)
+    assert (back.subject_ids, back.conditions, back.layout_id) \
+        == (m.subject_ids, m.conditions, m.layout_id)
+    assert back.values.tobytes() == values.tobytes()

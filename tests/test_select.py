@@ -198,6 +198,13 @@ def test_selection_weights_invariants():
         SelectionWeights(w, w1, w2, 0.5, (1,), 1)  # not the top weight
     with pytest.raises(InvariantViolation):
         SelectionWeights(w, -w1, w2, 0.5, (0,), 1)
+    SelectionWeights(w, w1, w2, 0.5, (0, 1), 2)
+    for selected, top_n in (((), 0), ((0,), -1), ((0, 1), 3), ((0,), -5)):
+        with pytest.raises(InvariantViolation, match=r"top_n must lie"):
+            SelectionWeights(w, w1, w2, 0.5, selected, top_n)
+    for selected, top_n in (((0,), 2), ((0, 1), 1), ((), 1)):
+        with pytest.raises(InvariantViolation, match=r"hold top_n"):
+            SelectionWeights(w, w1, w2, 0.5, selected, top_n)
 
 
 def test_apply_selection_orders_columns():
