@@ -26,10 +26,9 @@ from .dsp import (
 )
 from .detect import QrsDetection, detect_r_peaks
 from .segment import (
-    BeatSegment,
     dt_threshold,
-    extract_pqrst,
-    reconstruct_beat,
+    pqrst_windows,
+    resample_rows,
     resample_to_length,
     segment_beats_midpoint,
 )
@@ -84,8 +83,8 @@ __all__ = [
     "FilterCoefficients", "design_butterworth_bandpass",
     "filter_zero_phase", "preprocess_ecg",
     "QrsDetection", "detect_r_peaks",
-    "BeatSegment", "dt_threshold", "extract_pqrst", "reconstruct_beat",
-    "resample_to_length", "segment_beats_midpoint",
+    "dt_threshold", "pqrst_windows", "resample_rows", "resample_to_length",
+    "segment_beats_midpoint",
     "FeatureMatrix", "ac_features", "autocorr_features", "beat_features",
     "concat_matrices", "cwt_features", "fused_features",
     "load_feature_matrix", "pqrst_features", "qrs_features",

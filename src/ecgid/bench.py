@@ -636,9 +636,18 @@ def render_rows(rows, fmt):
 
 
 def parse_report_csv(text):
-    """Read a rendered CSV back into row dicts (for report merging)."""
+    """Read a rendered CSV back into row dicts (for report merging). Blank
+    lines are skipped; a row without exactly one field per column raises
+    MalformedFile naming the line it ends on."""
     reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
-    if not rows or tuple(rows[0]) != REPORT_COLUMNS:
+    try:
+        rows = [(reader.line_num, row) for row in reader if row]
+    except csv.Error as exc:
+        raise MalformedFile("report line %d: %s" % (reader.line_num, exc))
+    if not rows or tuple(rows[0][1]) != REPORT_COLUMNS:
         raise MalformedFile("report header mismatch: %r" % (rows[:1],))
-    return [dict(zip(REPORT_COLUMNS, row)) for row in rows[1:]]
+    for line, row in rows[1:]:
+        if len(row) != len(REPORT_COLUMNS):
+            raise MalformedFile("report line %d: expected %d fields, got %d"
+                                % (line, len(REPORT_COLUMNS), len(row)))
+    return [dict(zip(REPORT_COLUMNS, row)) for _, row in rows[1:]]

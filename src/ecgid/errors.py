@@ -62,24 +62,8 @@ class SegmentTooShort(EcgidError):
     """Resampler input (or target) below the 2-sample minimum."""
 
 
-class ImplausibleRR(EcgidError):
-    """RR interval outside the physiological 0.2-3 s range."""
-
-
 class OutOfTable(EcgidError):
     """Heart rate outside the piecewise dt lookup table."""
-
-
-class BeatOutOfBounds(EcgidError):
-    """A beat's analysis window exceeds the record."""
-
-
-class NonPositiveSlice(EcgidError):
-    """Window arithmetic produced an empty or negative slice."""
-
-
-class EmptyPart(EcgidError):
-    """A beat part arrived empty at reconstruction."""
 
 
 # --- features -------------------------------------------------------------

@@ -16,19 +16,13 @@ from .dsp import hamming_window
 from .errors import (
     DegenerateWindow,
     DimensionMismatch,
-    EcgidError,
     InvariantViolation,
     MalformedFile,
     TooFewRows,
     WindowTooLong,
 )
 from .ingest import CONDITIONS, _parse_finite, _read_text, _write_lines
-from .segment import (
-    extract_pqrst,
-    reconstruct_beat,
-    resample_to_length,
-    segment_beats_midpoint,
-)
+from .segment import pqrst_windows, resample_rows, segment_beats_midpoint
 from .wavelets import wavelet_kernel
 
 LAYOUT_DIMS = {
@@ -243,39 +237,31 @@ def _with_energy(windows):
 
 def qrs_features(record, det):
     """Per beat, the [onset, offset) slice resampled to 30 samples."""
-    rows = [
-        resample_to_length(record.samples[on:off], 30)
-        for on, off in zip(det.qrs_onsets, det.qrs_offsets)
-    ]
+    rows = resample_rows(record.samples, det.qrs_onsets,
+                         det.qrs_offsets - det.qrs_onsets, 30)
     return _record_matrix(record, rows, "qrs30")
 
 
 def beat_features(record, det):
     """Midpoint-to-midpoint beats resampled to 300 samples."""
-    beats = segment_beats_midpoint(record, det)
-    rows = [resample_to_length(b.samples, 300) for b in beats]
-    return _record_matrix(record, rows, "beat300")
+    starts, lengths = segment_beats_midpoint(det)
+    return _record_matrix(record, resample_rows(record.samples, starts,
+                                                lengths, 300), "beat300")
 
 
 def pqrst_features(record, det):
-    """Heart-rate-corrected 240-sample canonical beats."""
-    r = det.r_peaks
-    fs = record.sampling_rate_hz
-    rows = []
-    skipped = 0
-    for k in range(1, r.size - 1):
-        rr_prev = (int(r[k]) - int(r[k - 1])) / fs
-        rr_next = (int(r[k + 1]) - int(r[k])) / fs
-        hr = 60.0 / ((rr_prev + rr_next) / 2.0)
-        try:
-            parts = extract_pqrst(record, int(r[k]), rr_prev, hr_bpm=hr)
-            beat = reconstruct_beat(parts, fs, record.subject_id,
-                                    record.condition, int(r[k]))
-        except EcgidError:
-            skipped += 1
-            continue
-        rows.append(beat.samples)
-    return _record_matrix(record, rows, "pqrst240", skipped)
+    """Heart-rate-corrected 240-sample canonical beats, zero-meaned."""
+    _require_fs300(record, "pqrst240")
+    bounds, skipped = pqrst_windows(record, det)
+    pq_lo, pq_hi, qrs_hi, st_hi, t_hi = bounds.T
+    s = record.samples
+    # at 300 Hz: PQ to 450 ms, the 190 ms QRS kept, ST to 110 ms, T to 50 ms
+    rows = np.hstack([resample_rows(s, pq_lo, pq_hi - pq_lo, 135),
+                      s[pq_hi[:, None] + np.arange(57)],
+                      resample_rows(s, qrs_hi, st_hi - qrs_hi, 33),
+                      resample_rows(s, st_hi, t_hi - st_hi, 15)])
+    return _record_matrix(record, rows - rows.mean(axis=1, keepdims=True),
+                          "pqrst240", skipped)
 
 
 def stft_features(record, det):
@@ -384,6 +370,11 @@ def load_feature_matrix(path):
         raise MalformedFile("%s line %d: expected `layout=<id>,dim=<n>`"
                             % (path, numbered[0][0]))
     layout, dim = m.group(1), int(m.group(2))
+    want = declared_dim(layout)
+    if want not in (None, dim):
+        raise MalformedFile("%s line %d: layout %s declares dim %d, header "
+                            "has %d"
+                            % (path, numbered[0][0], layout, want, dim))
     line_nos = [i for i, _ in numbered[1:]]
     rows = [line.split(",") for _, line in numbered[1:]]
     for i, parts in zip(line_nos, rows):

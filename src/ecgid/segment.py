@@ -6,25 +6,19 @@ millisecond offsets (PQ's start shifted by a heart-rate lookup), while ST
 and T ends scale with the preceding RR interval. Each part is resampled to
 a fixed share of an 800 ms beat (PQ 450 ms, QRS kept, ST 110 ms, T 50 ms)
 and the result is normalized to zero mean.
-"""
 
-from dataclasses import dataclass
+A beat is a row of window boundaries into its record, not an object, and
+each function handles all beats of a record with array operations.
+"""
 
 import numpy as np
 
 from .errors import (
-    BeatOutOfBounds,
-    EmptyPart,
-    ImplausibleRR,
     InvariantViolation,
-    NonPositiveSlice,
     OutOfTable,
     SegmentTooShort,
     TooFewBeats,
 )
-
-BEAT_KINDS = ("raw", "qrs30", "beat300", "pqrst240")
-KIND_LENGTHS = {"qrs30": 30, "beat300": 300, "pqrst240": 240}
 
 # window geometry in milliseconds relative to R (Eqs. below in comments are
 # the PQ/QRS/ST/T bracket rules; RR-dependent ends are fractions of RR)
@@ -34,178 +28,96 @@ QRS_END_MS = 100.0
 ST_RR_FRAC = 0.08
 T_END_RR_FRAC = 0.42
 
-# canonical resampled lengths in milliseconds
-PQ_TARGET_MS = 450.0
-ST_TARGET_MS = 110.0
-T_TARGET_MS = 50.0
-BEAT_TARGET_MS = 800.0
+# plausible RR interval in seconds
+RR_MIN_S = 0.2
+RR_MAX_S = 3.0
 
-_DT_TABLE = (
-    (30.0, 65.0, -10.0),
-    (65.0, 80.0, 0.0),
-    (80.0, 95.0, 10.0),
-    (95.0, 110.0, 20.0),
-    (110.0, 125.0, 30.0),
-    (125.0, 140.0, 40.0),
-    (140.0, 155.0, 50.0),
-)
-
-
-@dataclass(frozen=True)
-class BeatSegment:
-    """One beat's sample vector in a named layout."""
-
-    subject_id: str
-    condition: str
-    r_index: int
-    samples: np.ndarray
-    kind: str
-
-    def __post_init__(self):
-        s = np.asarray(self.samples, dtype=float)
-        object.__setattr__(self, "samples", s)
-        if self.kind not in BEAT_KINDS:
-            raise InvariantViolation("unknown beat kind %r" % (self.kind,))
-        want = KIND_LENGTHS.get(self.kind)
-        if want is not None and s.size != want:
-            raise InvariantViolation(
-                "kind %s requires %d samples, got %d" % (self.kind, want, s.size)
-            )
-        if not np.all(np.isfinite(s)):
-            raise InvariantViolation("beat contains non-finite samples")
-
-
-@dataclass(frozen=True)
-class PqrstParts:
-    """Pre-resampling PQRST slices with the rates that placed them."""
-
-    pq: np.ndarray
-    qrs: np.ndarray
-    st: np.ndarray
-    t: np.ndarray
-    heart_rate_bpm: float
-    rr_s: float
-    fs_hz: float
-
-    def __post_init__(self):
-        for name in ("pq", "qrs", "st", "t"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), float))
-        fs = self.fs_hz
-        if abs(self.qrs.size - 0.190 * fs) > 1:
-            raise InvariantViolation("QRS window must span 190 ms")
-        if abs(self.st.size - ST_RR_FRAC * self.rr_s * fs) > 1:
-            raise InvariantViolation("ST window must span 0.08 RR")
-        expected_t = (T_END_RR_FRAC - ST_RR_FRAC) * self.rr_s * fs - 0.1 * fs
-        if abs(self.t.size - expected_t) > 1:
-            raise InvariantViolation("T window must span 0.34 RR minus 100 ms")
+# PQ-start shift: a heart rate in [_DT_EDGES[i], _DT_EDGES[i + 1]) bpm
+# shifts the PQ start by _DT_MS[i] milliseconds
+_DT_EDGES = (30.0, 65.0, 80.0, 95.0, 110.0, 125.0, 140.0, 155.0)
+_DT_MS = (-10.0, 0.0, 10.0, 20.0, 30.0, 40.0, 50.0)
 
 
 def ms_to_samples(ms, fs_hz):
-    """Millisecond offset to samples, rounding halves up."""
-    return int(np.floor(ms * fs_hz / 1000.0 + 0.5))
+    """Millisecond offset(s) to samples, rounding halves up."""
+    return np.floor(ms * fs_hz / 1000.0 + 0.5).astype(int)
 
 
-def heart_rate_from_rr(rr_s):
-    """Beats per minute from one RR interval; plausible range 0.2-3 s."""
-    if not (0.2 <= rr_s <= 3.0):
-        raise ImplausibleRR("RR interval %g s outside [0.2, 3]" % rr_s)
-    return 60.0 / rr_s
+def _in_dt_table(hr_bpm):
+    return (_DT_EDGES[0] <= hr_bpm) & (hr_bpm < _DT_EDGES[-1])
 
 
 def dt_threshold(hr_bpm):
-    """PQ-start shift in milliseconds as a piecewise-constant HR lookup."""
-    for lo, hi, dt in _DT_TABLE:
-        if lo <= hr_bpm < hi:
-            return dt
-    raise OutOfTable("heart rate %g bpm outside table domain [30, 155)" % hr_bpm)
+    """PQ-start shift in milliseconds as a piecewise-constant lookup of a
+    heart rate, or of an array of them."""
+    hr = np.asarray(hr_bpm, dtype=float)
+    outside = ~_in_dt_table(hr)
+    if np.any(outside):
+        raise OutOfTable("heart rate %g bpm outside table domain [30, 155)"
+                         % hr[outside].flat[0])
+    return np.take(_DT_MS, np.searchsorted(_DT_EDGES, hr, side="right") - 1)
+
+
+def resample_rows(x, starts, lengths, n):
+    """Row k is x[starts[k]:starts[k] + lengths[k]] linearly resampled to n
+    samples, with both endpoints kept exact."""
+    x = np.asarray(x, dtype=float)
+    starts = np.asarray(starts, dtype=int)[:, None]
+    lengths = np.asarray(lengths, dtype=int)[:, None]
+    if np.any(lengths < 2):
+        raise SegmentTooShort("resampling needs >= 2 input samples")
+    if n < 2:
+        raise InvariantViolation("target length must be >= 2")
+    if np.any(starts < 0) or np.any(starts + lengths > x.size):
+        raise InvariantViolation("resampled rows must lie inside the signal")
+    r = np.arange(n) * ((lengths - 1) / (n - 1))
+    j = np.minimum(np.floor(r).astype(int), lengths - 2)
+    lo, hi = x[starts + j], x[starts + j + 1]
+    out = lo + (hi - lo) * (r - j)
+    out[:, 0], out[:, -1] = lo[:, 0], hi[:, -1]
+    return out
 
 
 def resample_to_length(y, n):
     """Linear-interpolation resampling preserving endpoints exactly."""
     y = np.asarray(y, dtype=float)
-    n_star = y.size
-    if n_star < 2:
-        raise SegmentTooShort("resampling needs >= 2 input samples")
-    if n < 2:
-        raise InvariantViolation("target length must be >= 2")
-    r = np.arange(n) * ((n_star - 1) / (n - 1))
-    j = np.minimum(np.floor(r).astype(int), n_star - 2)
-    out = y[j] + (y[j + 1] - y[j]) * (r - j)
-    out[0] = y[0]
-    out[-1] = y[-1]
-    return out
+    return resample_rows(y, [0], [y.size], n)[0]
 
 
-def segment_beats_midpoint(record, det):
-    """One raw segment per interior R peak, spanning midpoint to midpoint."""
+def segment_beats_midpoint(det):
+    """(starts, lengths) of one raw segment per interior R peak, spanning
+    midpoint to midpoint."""
     r = det.r_peaks
     if r.size < 3:
         raise TooFewBeats("midpoint segmentation needs >= 3 peaks")
-    beats = []
-    for k in range(1, r.size - 1):
-        lo = (int(r[k - 1]) + int(r[k])) // 2
-        hi = (int(r[k]) + int(r[k + 1])) // 2
-        beats.append(BeatSegment(record.subject_id, record.condition,
-                                 int(r[k]), record.samples[lo:hi], "raw"))
-    return beats
+    mid = (r[:-1] + r[1:]) // 2
+    return mid[:-1], np.diff(mid)
 
 
-def extract_pqrst(record, r_index, rr_s, hr_bpm=None):
-    """Slice the PQ/QRS/ST/T windows around one R peak.
+def pqrst_windows(record, det):
+    """(bounds, skipped): one row [pq_lo, pq_hi, qrs_hi, st_hi, t_hi] of
+    sample indices per usable interior beat, in R order, and the number of
+    interior beats skipped.
 
-    Parameters
-    ----------
-    record : EcgRecord
-    r_index : int
-        R-peak sample index.
-    rr_s : float
-        Preceding RR interval in seconds; scales the ST and T windows.
-    hr_bpm : float, optional
-        Heart rate for the PQ-shift lookup. Defaults to 60/rr_s; pass a
-        locally averaged rate to decouple the lookup from a single interval.
-
-    Raises
-    ------
-    BeatOutOfBounds, NonPositiveSlice, ImplausibleRR, OutOfTable
+    ST and T ends scale with the beat's preceding RR interval; the PQ
+    start shifts with the heart rate of the mean of its two RR intervals.
+    A beat is skipped when its preceding RR lies outside [0.2, 3] s, its
+    heart rate lies outside the dt table, its T window is empty, its
+    windows leave the record, or its PQ, ST or T part has fewer than 2
+    samples.
     """
-    hr = heart_rate_from_rr(rr_s) if hr_bpm is None else hr_bpm
-    if hr_bpm is not None:
-        heart_rate_from_rr(rr_s)  # still validate the interval itself
-    dt = dt_threshold(hr)
+    r = det.r_peaks
     fs = record.sampling_rate_hz
-    n = record.samples.size
-
-    pq_lo = r_index + ms_to_samples(PQ_START_MS + dt, fs)
-    pq_hi = r_index + ms_to_samples(PQ_END_MS, fs)
-    qrs_hi = r_index + ms_to_samples(QRS_END_MS, fs)
-    st_hi = r_index + ms_to_samples(QRS_END_MS + ST_RR_FRAC * rr_s * 1000.0, fs)
-    t_hi = r_index + ms_to_samples(T_END_RR_FRAC * rr_s * 1000.0, fs)
-
-    if t_hi <= st_hi:
-        raise NonPositiveSlice(
-            "T window empty: 0.42 RR reaches only %d vs ST end %d" % (t_hi, st_hi)
-        )
-    if pq_lo < 0 or t_hi > n:
-        raise BeatOutOfBounds(
-            "windows [%d, %d) exceed record of %d samples" % (pq_lo, t_hi, n)
-        )
-    s = record.samples
-    return PqrstParts(s[pq_lo:pq_hi], s[pq_hi:qrs_hi], s[qrs_hi:st_hi],
-                      s[st_hi:t_hi], hr, rr_s, fs)
-
-
-def reconstruct_beat(parts, fs_hz, subject_id="", condition="rest", r_index=0):
-    """Resample parts to the canonical 800 ms beat and zero-mean it.
-
-    PQ maps to 450 ms, ST to 110 ms, T to 50 ms; QRS is kept as-is. At
-    300 Hz that is 135 + 57 + 33 + 15 = 240 samples.
-    """
-    for name in ("pq", "qrs", "st", "t"):
-        if getattr(parts, name).size == 0:
-            raise EmptyPart("%s part is empty" % name)
-    pq = resample_to_length(parts.pq, ms_to_samples(PQ_TARGET_MS, fs_hz))
-    st = resample_to_length(parts.st, ms_to_samples(ST_TARGET_MS, fs_hz))
-    t = resample_to_length(parts.t, ms_to_samples(T_TARGET_MS, fs_hz))
-    beat = np.concatenate([pq, parts.qrs, st, t])
-    beat = beat - beat.mean()
-    return BeatSegment(subject_id, condition, r_index, beat, "pqrst240")
+    rk = r[1:-1]
+    rr = (rk - r[:-2]) / fs
+    hr = 60.0 / ((rr + (r[2:] - rk) / fs) / 2.0)
+    keep = (RR_MIN_S <= rr) & (rr <= RR_MAX_S) & _in_dt_table(hr)
+    rr = rr[keep]
+    offsets_ms = np.broadcast_arrays(
+        PQ_START_MS + dt_threshold(hr[keep]), PQ_END_MS, QRS_END_MS,
+        QRS_END_MS + ST_RR_FRAC * rr * 1000.0, T_END_RR_FRAC * rr * 1000.0)
+    bounds = rk[keep][:, None] + ms_to_samples(np.stack(offsets_ms, 1), fs)
+    parts = np.diff(bounds, axis=1)
+    usable = ((bounds[:, 0] >= 0) & (bounds[:, 4] <= record.samples.size)
+              & np.all(parts[:, [0, 2, 3]] >= 2, axis=1))
+    return bounds[usable], rk.size - int(np.count_nonzero(usable))

@@ -1,12 +1,16 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import csv
+import io
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ecgid.bench import parse_report_csv
+from ecgid.bench import REPORT_COLUMNS, parse_report_csv
 from ecgid.cli import cli_main
-from ecgid.errors import InvariantViolation
+from ecgid.errors import EcgidError, InvariantViolation
 from ecgid.features import load_feature_matrix
 from ecgid.ingest import load_manifest
 
@@ -172,6 +176,38 @@ def test_report_merges_and_sorts(gen_dir, tmp_path):
     assert cli_main(["report", "--inputs", a, b, "--format", "markdown",
                      "--out", md]) == 0
     assert open(md, encoding="utf-8").read().startswith("| pipeline |")
+
+
+def test_report_rejects_rows_of_the_wrong_width(tmp_path, capsys):
+    header = ",".join(REPORT_COLUMNS)
+    good = "qrs30+svm,rest_rest,90.0%,80.0%,3,30,12,0,1,100.0%"
+    path = tmp_path / "bad.csv"
+    for row in ("qrs30+svm,rest_rest", good + ",x,y,z"):
+        path.write_text("\n".join([header, good, "", row]) + "\n",
+                        encoding="utf-8")
+        assert cli_main(["report", "--inputs", str(path)]) == 2
+        assert "report line 4: expected 10 fields" in capsys.readouterr().err
+    path.write_text("\n".join([header, "", good]) + "\n", encoding="utf-8")
+    assert cli_main(["report", "--inputs", str(path),
+                     "--out", str(tmp_path / "ok.csv")]) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(
+    st.just(",".join(REPORT_COLUMNS)),
+    st.lists(st.text(alphabet="ab,\"\r 0%", max_size=4), min_size=8,
+             max_size=12).map(",".join),
+    st.text(max_size=12)), max_size=6).map("\n".join))
+def test_parse_report_csv_rows_or_typed_error(text):
+    try:
+        rows = parse_report_csv(text)
+    except EcgidError:
+        return
+    assert all(tuple(row) == REPORT_COLUMNS for row in rows)
+    # no field is dropped: the values are every non-blank csv row after
+    # the header
+    records = [r for r in csv.reader(io.StringIO(text)) if r]
+    assert [list(row.values()) for row in rows] == records[1:]
 
 
 def test_sweep_cli(tmp_path):

@@ -11,7 +11,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-import ecgid.features
 from ecgid.detect import QrsDetection, detect_r_peaks
 from ecgid.dsp import hamming_window, preprocess_ecg
 from ecgid.errors import (
@@ -199,31 +198,6 @@ def test_pqrst_features_shape():
     assert m.n_rows >= 20
 
 
-def test_pqrst_features_skips_only_typed_errors(monkeypatch):
-    rec, det, _ = synth_prepared(jitter=0.02)
-    plain = pqrst_features(rec, det)
-    real = ecgid.features.extract_pqrst
-    calls = []
-
-    def first_beat_degenerate(*args, **kwargs):
-        calls.append(1)
-        if len(calls) == 1:
-            raise DegenerateWindow("flat window")
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(ecgid.features, "extract_pqrst", first_beat_degenerate)
-    m = pqrst_features(rec, det)
-    assert (m.n_rows, m.skipped) == (plain.n_rows - 1, plain.skipped + 1)
-
-    def broken(*args, **kwargs):
-        raise RuntimeError("bug in extract_pqrst")
-
-    # a programming error is not a skipped beat: it reaches the caller
-    monkeypatch.setattr(ecgid.features, "extract_pqrst", broken)
-    with pytest.raises(RuntimeError, match="bug in extract_pqrst"):
-        pqrst_features(rec, det)
-
-
 def test_transform_feature_dimensions():
     rec, det, _ = synth_prepared()
     stft = stft_features(rec, det)
@@ -320,6 +294,10 @@ def test_fs300_requirement():
         stft_features(rec, det)
     with pytest.raises(InvariantViolation):
         cwt_features(rec, det)
+    with pytest.raises(InvariantViolation, match="pqrst240"):
+        pqrst_features(rec, det)
+    with pytest.raises(InvariantViolation, match="fused"):
+        fused_features(rec, det)
 
 
 # ===== z-score ============================================================
@@ -421,6 +399,10 @@ def test_feature_matrix_load_errors(tmp_path):
         load_feature_matrix(p)
     p.write_text("layout=toy3,dim=3\ns1,walk,1,2,3\n")
     with pytest.raises(MalformedFile, match=r"bad\.csv line 2: unknown"):
+        load_feature_matrix(p)
+    # the header's dim must be the layout's declared width
+    p.write_text("layout=qrs30,dim=3\ns1,rest,1,2,3\n")
+    with pytest.raises(MalformedFile, match=r"bad\.csv line 1: layout qrs30"):
         load_feature_matrix(p)
 
 
