@@ -82,7 +82,7 @@ class PipelineConfig:
                 "ac needs n_lags < window_s * fs / 2 at fs = 300")
         if self.max_beats_per_subject < 1:
             raise InvariantViolation("max_beats_per_subject must be >= 1")
-        for name in ("c", "gamma", "tol"):
+        for name in ("c", "gamma", "tol", "window_s"):
             if not 0 < getattr(self, name) < np.inf:
                 raise InvariantViolation("%s must be finite and > 0" % name)
         if self.max_epochs < 1:
@@ -635,19 +635,19 @@ def render_rows(rows, fmt):
     return "\n".join(lines) + "\n"
 
 
-def parse_report_csv(text):
+def parse_report_csv(text, path="report"):
     """Read a rendered CSV back into row dicts (for report merging). Blank
     lines are skipped; a row without exactly one field per column raises
-    MalformedFile naming the line it ends on."""
+    MalformedFile naming path and the line the row ends on."""
     reader = csv.reader(io.StringIO(text))
     try:
         rows = [(reader.line_num, row) for row in reader if row]
     except csv.Error as exc:
-        raise MalformedFile("report line %d: %s" % (reader.line_num, exc))
+        raise MalformedFile("%s line %d: %s" % (path, reader.line_num, exc))
     if not rows or tuple(rows[0][1]) != REPORT_COLUMNS:
-        raise MalformedFile("report header mismatch: %r" % (rows[:1],))
+        raise MalformedFile("%s: header mismatch: %r" % (path, rows[:1]))
     for line, row in rows[1:]:
         if len(row) != len(REPORT_COLUMNS):
-            raise MalformedFile("report line %d: expected %d fields, got %d"
-                                % (line, len(REPORT_COLUMNS), len(row)))
+            raise MalformedFile("%s line %d: expected %d fields, got %d"
+                                % (path, line, len(REPORT_COLUMNS), len(row)))
     return [dict(zip(REPORT_COLUMNS, row)) for _, row in rows[1:]]

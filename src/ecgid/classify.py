@@ -57,7 +57,6 @@ class SmoResult:
     bias: float
     converged: bool
     epochs_run: int
-    objective_history: np.ndarray
     kkt_violation: float
 
 
@@ -104,17 +103,12 @@ def smo_solve(gram, y, c=100.0, tol=1e-3, max_epochs=200):
         alpha in [0, c]^n; the bias (mean g over free support vectors, or
         the midpoint of the optimality interval when none is free);
         convergence flag (final KKT violation <= tol); updates run in units
-        of n, rounded up; the dual objective after every n updates and at
-        the end; and the final KKT violation.
+        of n, rounded up; and the final KKT violation.
     """
     y = np.asarray(y, float)
     if set(np.unique(y)) != {-1.0, 1.0}:
         raise InvariantViolation("labels must be +-1, with both present")
     return _smo_batch(gram, [np.arange(y.size)], [y], c, tol, max_epochs)[0]
-
-
-def _objective(alpha, y, g):
-    return float(0.5 * np.sum(alpha * (y * g + 1.0)))
 
 
 def _smo_batch(gram, idx, y, c, tol, max_epochs):
@@ -141,7 +135,6 @@ def _smo_batch(gram, idx, y, c, tol, max_epochs):
     up = pos.copy()  # I_up: y*alpha may grow
     low = ys < 0  # I_low: y*alpha may shrink
     live = np.arange(sizes.size)  # problem number of each state row
-    history = [[] for _ in y]
     results = [None] * sizes.size
     updates = 0
     while live.size:
@@ -158,15 +151,12 @@ def _smo_batch(gram, idx, y, c, tol, max_epochs):
                 p = live[r]
                 n = int(sizes[p])
                 a_r, y_r, g_r = alpha[r, :n].copy(), ys[r, :n], g[r, :n]
-                if updates % n or not updates:
-                    history[p].append(_objective(a_r, y_r, g_r))
                 free = (a_r > ALPHA_EPS) & (a_r < c - ALPHA_EPS)
                 bias = (float(np.mean(g_r[free])) if free.any()
                         else float(0.5 * (m_up[r] + m_low[r])))
                 kkt = _kkt_violation(a_r, y_r, bias - g_r, c)
                 results[p] = SmoResult(a_r, bias, kkt <= tol,
-                                       -(-updates // n),
-                                       np.array(history[p]), kkt)
+                                       -(-updates // n), kkt)
             keep = ~done
             n_live = np.count_nonzero(keep)
             state = (live, rows_idx, ys, diag, pos, alpha, g, up, low, i,
@@ -208,10 +198,6 @@ def _smo_batch(gram, idx, y, c, tol, max_epochs):
             up[rows, k] = np.where(pos_k, alpha_k < c, alpha_k > 0.0)
             low[rows, k] = np.where(pos_k, alpha_k > 0.0, alpha_k < c)
         updates += 1
-        for r in np.flatnonzero(updates % sizes[live] == 0):
-            n = int(sizes[live[r]])
-            history[live[r]].append(
-                _objective(alpha[r, :n], ys[r, :n], g[r, :n]))
     return results
 
 

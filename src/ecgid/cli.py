@@ -120,7 +120,7 @@ def _cmd_sweep(args):
 def _cmd_report(args):
     rows = []
     for path in args.inputs:
-        for row in bench.parse_report_csv(_read_text(path)):
+        for row in bench.parse_report_csv(_read_text(path), path):
             rows.append(tuple(row[c] for c in bench.REPORT_COLUMNS))
     rows.sort(key=lambda r: (r[0], r[1]))
     _write_text(args.out, bench.render_rows(rows, args.format))

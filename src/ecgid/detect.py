@@ -6,6 +6,10 @@ means), so detection is invariant to positive rescaling of the input. Each
 integrator peak is confirmed against the 5-15 Hz filtered waveform, then the
 R fiducial is refined to the extremum of the preprocessed input, removing
 the integrator's group delay before segmentation.
+
+Python loops are left only where each step depends on the last: the
+threshold update over integrator peaks and the refractory pass over refined
+beats. Everything else is array operations over all candidates or beats.
 """
 
 from dataclasses import dataclass
@@ -107,26 +111,44 @@ def _local_maxima(y):
     return idx
 
 
-def _clamp_width(onset, offset, r, n, w_min, w_max):
-    """Clamp [onset, offset] to the width band; None when it exits the record."""
+def _qrs_bounds(mwi, r, thr):
+    """First sample on each side of each r where mwi drops below that beat's
+    thr (-1 or mwi.size past the record). The walks advance together, 32
+    samples a step, so memory stays at beats x 32 however long they are.
+    """
+    n = mwi.size
+    edged = np.concatenate([[-np.inf], mwi, [-np.inf]])  # the ends stop a walk
+    step, thr = np.repeat([-1, 1], r.size), np.tile(thr, 2)
+    pos, todo = np.tile(r, 2) + step, np.arange(2 * r.size)
+    out = np.empty(2 * r.size, dtype=int)
+    while todo.size:
+        idx = np.clip(pos[:, None] + step[todo, None] * np.arange(32), -1, n)
+        below = edged[idx + 1] < thr[todo, None]
+        hit = below.any(axis=1)
+        out[todo[hit]] = idx[hit, below[hit].argmax(axis=1)]
+        todo, pos = todo[~hit], idx[~hit, -1] + step[todo[~hit]]
+    return out[:r.size], out[r.size:]
+
+
+def _clamp_widths(onset, offset, r, n, w_min, w_max):
+    """Clamp each [onset, offset] to the width band; valid is False where
+    the clamped QRS leaves the record.
+
+    A wide QRS keeps its left share of w_max around r, at least one sample;
+    a narrow one grows right up to the last sample, then left.
+    """
     width = offset - onset
-    if width > w_max:
-        left = r - onset
-        scale = w_max / width
-        new_left = max(1, int(np.floor(left * scale)))
-        new_right = w_max - new_left
-        if new_right < 1:
-            new_right = 1
-            new_left = w_max - 1
-        onset, offset = r - new_left, r + new_right
-    elif width < w_min:
-        need = w_min - width
-        grow_right = min(need, (n - 1) - offset)
-        offset += grow_right
-        onset -= need - grow_right
-    if onset < 0 or offset > n - 1 or not (onset < r < offset):
-        return None
-    return onset, offset
+    # r - onset < width keeps the floor below w_max, so the right side keeps
+    # a sample (at w_max = 1 no beat is valid either way)
+    left = np.floor((r - onset) * (w_max / width)).astype(int)
+    left = np.maximum(left, 1)
+    need = w_min - width
+    grow_right = np.minimum(need, (n - 1) - offset)
+    cases = [width > w_max, width < w_min]
+    onset = np.select(cases, [r - left, onset - (need - grow_right)], onset)
+    offset = np.select(cases, [r + w_max - left, offset + grow_right], offset)
+    valid = (onset >= 0) & (offset < n) & (onset < r) & (r < offset)
+    return onset, offset, valid
 
 
 def detect_r_peaks(x, fs_hz):
@@ -171,10 +193,11 @@ def detect_r_peaks(x, fs_hz):
     refractory_n = REFRACTORY_S * fs_hz
     candidates = _local_maxima(mwi)
     cand_mwi = mwi[candidates]
-    # |filtered| peak over each candidate's integrator window; the -1 pad
-    # never wins against a magnitude
-    padded = np.concatenate([np.full(window_n, -1.0), abs_f])
-    fpeaks = sliding_window_view(padded, window_n + 1)[candidates].max(axis=1)
+    # |filtered| over each sample's integrator window; the -1 pad never wins
+    # against a magnitude
+    windows = sliding_window_view(
+        np.pad(abs_f, (window_n, 0), constant_values=-1.0), window_n + 1)
+    fpeaks = windows[candidates].max(axis=1)
 
     accepted = []        # decision-point indices into mwi
     accepted_thr = []    # primary integrator threshold at acceptance time
@@ -217,43 +240,27 @@ def detect_r_peaks(x, fs_hz):
             npki = 0.125 * pki + 0.875 * npki
             npkf = 0.125 * fpk + 0.875 * npkf
 
-    # refine decision points: filtered-domain fiducial inside the integrator
-    # window, then the preprocessed-signal extremum within +/-0.05 s
-    refine_half = int(round(REFINE_HALF_S * fs_hz))
-    w_min, w_max = qrs_width_bounds(fs_hz)
-    beats = []
-    abs_x = np.abs(x)
-    for pos, thr in zip(accepted, accepted_thr):
-        a = max(0, pos - window_n)
-        j = a + int(np.argmax(abs_f[a:pos + 1]))
-        lo = max(0, j - refine_half)
-        hi = min(n, j + refine_half + 1)
-        r = lo + int(np.argmax(abs_x[lo:hi]))
-
-        k = r - 1
-        while k >= 0 and mwi[k] >= thr:
-            k -= 1
-        onset = k
-        k = r + 1
-        while k < n and mwi[k] >= thr:
-            k += 1
-        offset = k
-        clamped = _clamp_width(onset, offset, r, n, w_min, w_max)
-        if clamped is None:
-            continue
-        beats.append((r, clamped[0], clamped[1]))
+    # refine decision points: filtered-domain fiducial j inside the
+    # integrator window, then the preprocessed-signal extremum r within
+    # +/-0.05 s of j. The -1 pads stand for samples past the record: they
+    # lose to every magnitude and keep argmax's first-maximum tie rule.
+    pos = np.array(accepted, dtype=int)
+    j = pos - window_n + windows[pos].argmax(axis=1)
+    h = int(round(REFINE_HALF_S * fs_hz))
+    padded_x = np.pad(np.abs(x), h, constant_values=-1.0)
+    r = j - h + sliding_window_view(padded_x, 2 * h + 1)[j].argmax(axis=1)
+    onset, offset = _qrs_bounds(mwi, r, np.array(accepted_thr))
+    onset, offset, valid = _clamp_widths(onset, offset, r, n,
+                                         *qrs_width_bounds(fs_hz))
 
     # refinement can only shrink inter-peak gaps slightly; drop any beat that
     # lands inside the refractory window of the previous kept beat
     kept = []
-    for beat in beats:
-        if kept and beat[0] - kept[-1][0] < refractory_n:
+    for k in np.flatnonzero(valid).tolist():
+        if kept and r[k] - r[kept[-1]] < refractory_n:
             continue
-        kept.append(beat)
+        kept.append(k)
 
     if len(kept) < 2:
         raise NoBeatsFound("fewer than 2 beats accepted")
-    r_peaks = np.array([b[0] for b in kept], dtype=int)
-    onsets = np.array([b[1] for b in kept], dtype=int)
-    offsets = np.array([b[2] for b in kept], dtype=int)
-    return QrsDetection(r_peaks, onsets, offsets, float(fs_hz))
+    return QrsDetection(r[kept], onset[kept], offset[kept], float(fs_hz))

@@ -96,10 +96,6 @@ class FeatureMatrix:
     def dim(self):
         return self.values.shape[1]
 
-    @property
-    def labels(self):
-        return np.array(self.subject_ids)
-
 
 def take_rows(m, index):
     """Row-subset preserving labels and layout."""
@@ -280,7 +276,10 @@ def cwt_features(record, det):
 
 def ac_features(record, det, n_lags=AC_LAGS, window_s=1.0):
     """Autocorrelation features over windows of window_s seconds."""
-    window_len = int(round(window_s * record.sampling_rate_hz))
+    # a window longer than the record fits nowhere; the cap keeps a huge
+    # window_s from overflowing the sample arithmetic
+    window_len = min(int(round(window_s * record.sampling_rate_hz)),
+                     record.samples.size + 1)
     windows, skipped = _centered_windows(record, det, window_len)
     windows, dropped = _with_energy(windows)
     return _record_matrix(record, autocorr_features(windows, n_lags),
@@ -316,7 +315,6 @@ class ZScoreParams:
 
     mean: np.ndarray
     std: np.ndarray
-    n_fit: int
 
     def __post_init__(self):
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
@@ -334,7 +332,7 @@ def zscore_fit(m):
         raise TooFewRows("z-score fit needs >= 2 rows")
     mean = m.values.mean(axis=0)
     std = m.values.std(axis=0)  # population stddev
-    return ZScoreParams(mean, std, m.n_rows)
+    return ZScoreParams(mean, std)
 
 
 def zscore_apply(params, m):

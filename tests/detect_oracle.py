@@ -1,32 +1,61 @@
-"""Reference Pan-Tompkins decision loop for detect_r_peaks.
+"""Reference Pan-Tompkins detection for detect_r_peaks.
 
-This is the per-candidate form of `ecgid.detect.detect_r_peaks`: each
-candidate's filtered peak is its own `np.max`, the RR average is an
-`np.mean`, and search-back rescans every earlier candidate. The library's
-array form must give identical beats.
+This is the per-candidate, per-beat form of `ecgid.detect.detect_r_peaks`:
+each candidate's filtered peak is its own `np.max`, the RR average is an
+`np.mean`, and search-back rescans every earlier candidate. After the
+decision loop each beat is refined with its own `np.argmax` calls, its QRS
+boundaries are sample-by-sample walks, and its width is clamped by the
+scalar `clamp_width` below. The library's array form must give identical
+beats.
 """
 
 import numpy as np
 
 from ecgid.detect import (
     INTEGRATION_WINDOW_S,
+    QRS_WIDTH_MAX_300,
+    QRS_WIDTH_MIN_300,
     REFINE_HALF_S,
     REFRACTORY_S,
     SEARCHBACK_RR_FACTOR,
     QrsDetection,
-    _clamp_width,
     _local_maxima,
     derivative_filter,
     moving_window_integrate,
     pt_bandpass,
-    qrs_width_bounds,
     square_signal,
 )
 from ecgid.errors import NoBeatsFound, SignalTooShort
 
 
-def reference_detect_r_peaks(x, fs_hz):
-    """detect_r_peaks as a per-candidate loop; see the module docstring."""
+def clamp_width(onset, offset, r, n, w_min, w_max):
+    """Clamp [onset, offset] to the width band; None when it exits the record."""
+    width = offset - onset
+    if width > w_max:
+        left = r - onset
+        scale = w_max / width
+        new_left = max(1, int(np.floor(left * scale)))
+        new_right = w_max - new_left
+        if new_right < 1:
+            new_right = 1
+            new_left = w_max - 1
+        onset, offset = r - new_left, r + new_right
+    elif width < w_min:
+        need = w_min - width
+        grow_right = min(need, (n - 1) - offset)
+        offset += grow_right
+        onset -= need - grow_right
+    if onset < 0 or offset > n - 1 or not (onset < r < offset):
+        return None
+    return onset, offset
+
+
+def reference_detect_r_peaks(x, fs_hz, clamps=None):
+    """detect_r_peaks as a per-candidate loop; see the module docstring.
+
+    clamps, when given, is a Counter that gains one count per accepted beat
+    under "in_band", "wide", "narrow" or "dropped".
+    """
     x = np.asarray(x, dtype=float)
     n = x.size
     init_n = int(round(2 * fs_hz))
@@ -105,7 +134,8 @@ def reference_detect_r_peaks(x, fs_hz):
     # refine decision points: filtered-domain fiducial inside the integrator
     # window, then the preprocessed-signal extremum within +/-0.05 s
     refine_half = int(round(REFINE_HALF_S * fs_hz))
-    w_min, w_max = qrs_width_bounds(fs_hz)
+    w_min = int(round(QRS_WIDTH_MIN_300 * fs_hz / 300.0))
+    w_max = int(round(QRS_WIDTH_MAX_300 * fs_hz / 300.0))
     beats = []
     abs_x = np.abs(x)
     for pos, thr in zip(accepted, accepted_thr):
@@ -123,7 +153,11 @@ def reference_detect_r_peaks(x, fs_hz):
         while k < n and mwi[k] >= thr:
             k += 1
         offset = k
-        clamped = _clamp_width(onset, offset, r, n, w_min, w_max)
+        clamped = clamp_width(onset, offset, r, n, w_min, w_max)
+        if clamps is not None:
+            clamps["dropped" if clamped is None
+                   else "wide" if offset - onset > w_max
+                   else "narrow" if offset - onset < w_min else "in_band"] += 1
         if clamped is None:
             continue
         beats.append((r, clamped[0], clamped[1]))

@@ -5,10 +5,15 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import write_cohort
 import ecgid.bench as bench
 from ecgid.bench import (
+    CLASSIFIERS,
+    REDUCTIONS,
+    STAGES,
     ExperimentReport,
     PipelineConfig,
     aux_eval_split,
@@ -27,6 +32,7 @@ from ecgid.bench import (
 )
 from ecgid.cli import cli_main
 from ecgid.errors import (
+    EcgidError,
     EmptyCohort,
     InvariantViolation,
     IoFailure,
@@ -100,7 +106,7 @@ def test_config_validation():
         PipelineConfig(lam=1.5)
     with pytest.raises(InvariantViolation):
         PipelineConfig(stage="ac", n_lags=200, window_s=1.0)
-    for name in ("c", "gamma", "tol"):
+    for name in ("c", "gamma", "tol", "window_s"):
         for bad in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(InvariantViolation, match=name):
                 PipelineConfig(**{name: bad})
@@ -108,6 +114,55 @@ def test_config_validation():
         with pytest.raises(InvariantViolation, match="max_epochs"):
             PipelineConfig(max_epochs=bad)
     PipelineConfig(c=1e-3, gamma=1e-9, tol=1e-12, max_epochs=1)
+
+
+CONFIG_KEYS = [f.name for f in dataclasses.fields(PipelineConfig)]
+CONFIG_VALUES = list(STAGES + REDUCTIONS + CLASSIFIERS) + [
+    "on", "OFF", "true", "0", "1", "-1", "80", "0.5", "1e300", "inf", "nan",
+    "1_0", " 2 ", ""]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(
+    st.builds("{}={}".format, st.sampled_from(CONFIG_KEYS),
+              st.one_of(st.sampled_from(CONFIG_VALUES), st.text(max_size=6))),
+    st.sampled_from(["", "# note", "=1", "stage"]),
+    st.text(max_size=12)), max_size=8).map("\n".join))
+def test_parse_config_parses_or_raises_typed(text):
+    try:
+        cfg = parse_config(text)
+    except EcgidError:
+        return
+    assert isinstance(cfg, PipelineConfig)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def pipeline_configs(draw):
+    """Any config PipelineConfig accepts, over the full range of each
+    field it leaves to later stages."""
+    values = dict(
+        stage=draw(st.sampled_from(STAGES)), n_lags=draw(st.integers()),
+        window_s=draw(POSITIVE), lam=draw(st.floats(0.0, 1.0)),
+        top_n=draw(st.integers()), reduction=draw(st.sampled_from(REDUCTIONS)),
+        variance_retained=draw(FINITE), normalize=draw(st.booleans()),
+        classifier=draw(st.sampled_from(CLASSIFIERS)), c=draw(POSITIVE),
+        gamma=draw(POSITIVE), tol=draw(POSITIVE),
+        max_epochs=draw(st.integers(min_value=1)), knn_k=draw(st.integers()),
+        lo_hz=draw(FINITE), hi_hz=draw(FINITE),
+        max_beats_per_subject=draw(st.integers(min_value=1)))
+    assume(values["stage"] != "ac"
+           or values["n_lags"] < values["window_s"] * 300.0 / 2)
+    return PipelineConfig(**values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pipeline_configs())
+def test_config_text_round_trip(cfg):
+    assert parse_config(config_to_text(cfg)) == cfg
 
 
 def test_pipeline_ids():

@@ -101,10 +101,20 @@ def test_smo_alpha_within_box():
 
 
 def test_smo_objective_non_decreasing():
-    m = xor_matrix(seed=3)
+    # the dual objective sum(alpha) - (alpha*y)' K (alpha*y) / 2 never falls
+    # as the update budget grows one epoch at a time; overlapping classes
+    # take several epochs to converge
+    m = xor_matrix(spread=0.8, seed=3)
     y = np.where(np.array(m.subject_ids) == "a", 1.0, -1.0)
-    res = smo_solve(rbf_gram(m.values, 1.0), y)
-    assert np.all(np.diff(res.objective_history) >= -1e-8)
+    gram = rbf_gram(m.values, 1.0)
+    epochs = smo_solve(gram, y).epochs_run
+    dual = []
+    for max_epochs in range(1, epochs + 2):
+        ay = smo_solve(gram, y, max_epochs=max_epochs).alpha * y
+        dual.append(np.sum(np.abs(ay)) - 0.5 * ay @ gram @ ay)
+    assert epochs >= 3
+    assert np.all(np.diff(dual) >= -1e-8)
+    assert dual[0] < dual[-1]
 
 
 def test_smo_rbf_solves_xor_where_linear_fails():
@@ -254,8 +264,6 @@ def test_svm_pairs_equal_one_problem_solves():
             assert got.bias == want.bias
             assert got.converged == want.converged
             assert got.epochs_run == want.epochs_run
-            assert np.array_equal(got.objective_history,
-                                  want.objective_history)
             assert got.kkt_violation == want.kkt_violation
     assert unconverged > 0  # the max_epochs=1 budget stops some pairs
 

@@ -136,6 +136,19 @@ def test_data_errors_exit_2(tmp_path, capsys):
     assert "gamma must be finite and > 0" in capsys.readouterr().err
 
 
+def test_run_rejects_infinite_or_huge_ac_window(gen_dir, tmp_path, capsys):
+    # an infinite window fails the config check; a finite window longer
+    # than every record leaves no usable row
+    cfg = tmp_path / "ac.txt"
+    for window_s, message in (("inf", "window_s must be finite and > 0"),
+                              ("1e300", "no usable ac80 row")):
+        cfg.write_text("stage=ac\nwindow_s=%s\n" % window_s, encoding="utf-8")
+        assert cli_main(["run", "--manifest", manifest_of(gen_dir),
+                         "--protocol", "rest_rest", "--config", str(cfg),
+                         "--out", str(tmp_path / "r.csv")]) == 2
+        assert message in capsys.readouterr().err
+
+
 def test_non_utf8_inputs_exit_2(gen_dir, tmp_path, capsys):
     binary = tmp_path / "binary.txt"
     binary.write_bytes(b"stage=\xff\n")
@@ -179,14 +192,19 @@ def test_report_merges_and_sorts(gen_dir, tmp_path):
 
 
 def test_report_rejects_rows_of_the_wrong_width(tmp_path, capsys):
+    # the bad file is the second input, and the error names it
     header = ",".join(REPORT_COLUMNS)
     good = "qrs30+svm,rest_rest,90.0%,80.0%,3,30,12,0,1,100.0%"
+    first = tmp_path / "good.csv"
+    first.write_text("\n".join([header, good]) + "\n", encoding="utf-8")
     path = tmp_path / "bad.csv"
     for row in ("qrs30+svm,rest_rest", good + ",x,y,z"):
         path.write_text("\n".join([header, good, "", row]) + "\n",
                         encoding="utf-8")
-        assert cli_main(["report", "--inputs", str(path)]) == 2
-        assert "report line 4: expected 10 fields" in capsys.readouterr().err
+        assert cli_main(["report", "--inputs", str(first), str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "%s line 4: expected 10 fields" % path in err
+        assert str(first) not in err
     path.write_text("\n".join([header, "", good]) + "\n", encoding="utf-8")
     assert cli_main(["report", "--inputs", str(path),
                      "--out", str(tmp_path / "ok.csv")]) == 0

@@ -2,14 +2,16 @@
 end-to-end accuracy on synthetic records with known R positions."""
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 from conftest import FS, fixed_params, match_peaks
-from detect_oracle import reference_detect_r_peaks
+from detect_oracle import clamp_width, reference_detect_r_peaks
 
 from ecgid.detect import (
     QrsDetection,
+    _clamp_widths,
     derivative_filter,
     detect_r_peaks,
     moving_window_integrate,
@@ -210,6 +212,24 @@ def test_qrsdetection_invariant_checks():
 
 # ===== array form against the per-candidate reference =====================
 
+def test_clamp_widths_match_scalar_reference():
+    # every bracket a walk can return on a 40-sample record, including the
+    # -1 and n sentinels, under a small band, a one-sample band and the
+    # 300 Hz band
+    n = 40
+    onset, r, offset = (a.ravel() for a in np.meshgrid(
+        np.arange(-1, n), np.arange(n), np.arange(n + 1), indexing="ij"))
+    walk = (onset < r) & (r < offset)
+    onset, r, offset = onset[walk], r[walk], offset[walk]
+    for w_min, w_max in ((6, 11), (1, 1), (10, 50)):
+        on, off, valid = _clamp_widths(onset, offset, r, n, w_min, w_max)
+        want = [clamp_width(*bracket, n, w_min, w_max) for bracket in
+                zip(onset.tolist(), offset.tolist(), r.tolist())]
+        assert valid.tolist() == [w is not None for w in want]
+        assert list(zip(on[valid].tolist(), off[valid].tolist())) == \
+            [w for w in want if w is not None]
+
+
 def assert_same_as_reference(x):
     det = detect_r_peaks(x, FS)
     ref = reference_detect_r_peaks(x, FS)
@@ -224,6 +244,42 @@ def attenuated_hr60_record(scale):
     x = rec.samples.copy()
     x[truth[15] - 60:truth[15] + 60] *= scale
     return preprocess_ecg(x, FS), truth
+
+
+def burst_hr60_record():
+    """Beat 15 at 0.35 of its amplitude, plus a 0.2 s, 18 Hz burst 0.5 s
+    after it."""
+    rec, truth = synthesize_record(fixed_params(), "rest", 30.0, False, 5)
+    x = rec.samples.copy()
+    x[truth[15] - 60:truth[15] + 60] *= 0.35
+    t = np.arange(x.size) / FS - (truth[15] / FS + 0.5)
+    burst = np.abs(t) < 0.1
+    x[burst] += 0.4 * np.sin(2 * np.pi * 18.0 * t[burst])
+    return preprocess_ecg(x, FS), truth
+
+
+def random_pulse_record(seed):
+    """Gaussian pulses of random width, sign and spacing at 250-500 Hz, with
+    baseline drift, white noise, broad T-like waves and spikes."""
+    rng = np.random.default_rng(seed)
+    fs = float(rng.choice([250.0, 300.0, 360.0, 500.0]))
+    t = np.arange(int(rng.uniform(4.0, 20.0) * fs)) / fs
+    x = rng.normal(0.0, rng.uniform(0.0, 0.3), t.size)
+    x += rng.uniform(0.0, 2.0) * np.sin(
+        2 * np.pi * rng.uniform(0.05, 0.6) * t + rng.uniform(0.0, 6.0))
+    rr, at, width = rng.uniform(0.25, 1.6), rng.uniform(-0.3, 0.5), \
+        rng.uniform(0.003, 0.06)
+    while at < t[-1] + 0.3:
+        amp = rng.uniform(0.2, 2.0) * (1 if rng.random() < 0.85 else -1)
+        w = width * rng.uniform(0.5, 2.0)
+        x += amp * np.exp(-0.5 * ((t - at) / w) ** 2)
+        if rng.random() < 0.3:
+            x += 0.3 * amp * np.exp(
+                -0.5 * ((t - at - 0.25) / (4 * w + 0.02)) ** 2)
+        at += rr * rng.uniform(0.6, 1.5)
+    spikes = rng.integers(0, t.size, size=rng.integers(0, 8))
+    x[spikes] += rng.uniform(-5.0, 5.0, size=spikes.size)
+    return preprocess_ecg(x, fs), fs
 
 
 def test_matches_reference_on_hr60_and_hr150():
@@ -243,6 +299,35 @@ def test_search_back_recovers_weak_beat_like_reference():
     x, truth = attenuated_hr60_record(0.25)
     det = assert_same_as_reference(x)
     assert match_peaks(det.r_peaks, truth, tol=3) == (28, 28, 29)
+
+
+def test_search_back_takes_strongest_candidate_that_clears_both_thresholds():
+    # in the gap after the weak beat 15, the burst has the larger integrator
+    # peak but its filtered peak fails the halved threshold, so search-back
+    # must recover beat 15 rather than the burst
+    x, truth = burst_hr60_record()
+    det = assert_same_as_reference(x)
+    assert truth[15] in det.r_peaks
+    assert match_peaks(det.r_peaks, truth, tol=3) == (29, 29, 29)
+
+
+def test_matches_reference_on_random_pulse_records():
+    # four rates, drift and spikes; the records reach every width-clamp
+    # outcome of the reference's scalar clamp
+    clamps = Counter()
+    for seed in range(60):
+        x, fs = random_pulse_record(seed)
+        try:
+            ref = reference_detect_r_peaks(x, fs, clamps)
+        except NoBeatsFound:
+            with pytest.raises(NoBeatsFound):
+                detect_r_peaks(x, fs)
+            continue
+        det = detect_r_peaks(x, fs)
+        assert np.array_equal(det.r_peaks, ref.r_peaks)
+        assert np.array_equal(det.qrs_onsets, ref.qrs_onsets)
+        assert np.array_equal(det.qrs_offsets, ref.qrs_offsets)
+    assert min(clamps[k] for k in ("in_band", "wide", "narrow", "dropped")) > 0
 
 
 def test_matches_reference_on_noisy_cohort_with_dropouts():

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import string
 import tempfile
 
 import numpy as np
@@ -378,6 +379,61 @@ def test_manifest_malformed_lines(tmp_path):
     p.write_text("s01,rest,a.txt,ten\n")
     with pytest.raises(MalformedFile):
         load_manifest(p)
+
+
+MANIFEST_LINES = st.one_of(
+    st.sampled_from(["", " ", "#", "# seed=7", "# seed=-3", "# seed=x",
+                     "#seed=1_0", "s1,rest,a.txt,1.0", "s1,post_exercise,b,2"]),
+    st.lists(st.one_of(st.sampled_from(CONDITIONS), st.floats().map(repr),
+                       st.text(max_size=5)), max_size=5).map(",".join),
+    st.text(max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(MANIFEST_LINES, max_size=8).map("\n".join))
+@example("s1,rest,a,1\rs2,rest,b,2\r\n# seed=3")
+def test_load_manifest_parses_or_raises_typed(text):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "m.txt")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        try:
+            m = load_manifest(path)
+        except EcgidError:
+            return
+    # every line that is neither blank nor a comment is one entry; the file
+    # is read with universal newlines
+    lines = [ln.strip() for ln in
+             text.replace("\r\n", "\n").replace("\r", "\n").split("\n")]
+    assert len(m.entries) == sum(1 for ln in lines
+                                 if ln and not ln.startswith("#"))
+
+
+# fields that survive the comma-separated, whitespace-stripped format; a
+# subject id that starts with "#" would read back as a comment
+FIELD = st.text(alphabet=string.ascii_letters + string.digits + "_-./# ",
+                max_size=6).filter(lambda s: s == s.strip())
+SUBJECT = FIELD.filter(lambda s: not s.startswith("#"))
+
+
+@st.composite
+def manifests(draw):
+    entries = []
+    for sid in draw(st.lists(SUBJECT, min_size=1, max_size=5, unique=True)):
+        for cond in draw(st.sampled_from([CONDITIONS[:1], CONDITIONS])):
+            entries.append((sid, cond, draw(FIELD),
+                            draw(st.floats(allow_nan=False))))
+    return DatasetManifest(tuple(draw(st.permutations(entries))),
+                           draw(st.none() | st.integers()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(manifests())
+def test_save_load_manifest_is_identity(manifest):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "m.txt")
+        save_manifest(manifest, path)
+        assert load_manifest(path) == manifest
 
 
 # ===== cohort builder =====================================================
