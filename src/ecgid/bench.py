@@ -386,8 +386,9 @@ class FittedState:
     knn_train: object = None
 
 
-def fit_pipeline_state(train, config, selection=None):
-    """Fit z-score, PCA, and the classifier on training rows only."""
+def _fit(train, config, selection):
+    """fit_pipeline_state, plus the training rows as the classifier saw
+    them (z-scored and PCA-projected when the config asks for it)."""
     m = train
     zparams = None
     if config.normalize:
@@ -401,8 +402,21 @@ def fit_pipeline_state(train, config, selection=None):
         model = _classify.svm_train(m, c=config.c, gamma=config.gamma,
                                     tol=config.tol,
                                     max_epochs=config.max_epochs)
-        return FittedState(config, selection, zparams, pmodel, model, None)
-    return FittedState(config, selection, zparams, pmodel, None, m)
+        return FittedState(config, selection, zparams, pmodel, model, None), m
+    return FittedState(config, selection, zparams, pmodel, None, m), m
+
+
+def fit_pipeline_state(train, config, selection=None):
+    """Fit z-score, PCA, and the classifier on training rows only."""
+    return _fit(train, config, selection)[0]
+
+
+def _classify_rows(state, m):
+    """Classify rows that the fitted z-score and PCA stages already
+    transformed."""
+    if state.svm is not None:
+        return _classify.svm_predict(state.svm, m)
+    return _classify.knn_predict(state.knn_train, m, k=state.config.knn_k)
 
 
 def predict_with_state(state, m):
@@ -412,9 +426,7 @@ def predict_with_state(state, m):
         m = _features.zscore_apply(state.zscore, m)
     if state.pca is not None:
         m = _select.pca_transform(state.pca, m)
-    if state.svm is not None:
-        return _classify.svm_predict(state.svm, m)
-    return _classify.knn_predict(state.knn_train, m, k=state.config.knn_k)
+    return _classify_rows(state, m)
 
 
 def state_fingerprint(state):
@@ -510,7 +522,11 @@ def subject_majority_accuracy(pred, truth):
 def _run_top_ns(manifest_path, config, protocol, seed, top_ns, cache):
     """One report per top_n in `top_ns`. Featurizing, the aux/eval split and
     the selection weights happen once, and only the evaluation rows outlive
-    them; each top_n keeps a prefix of the one ranking of the weights."""
+    them; each top_n keeps a prefix of the one ranking of the weights.
+
+    A step's input rows die once its output rows exist: the stacked cohort
+    once the split (for fused_kl, the aux and eval rows) holds them, and
+    the z-scored or projected training rows once they are classified."""
     if not top_ns:
         return []
     if protocol not in PROTOCOLS:
@@ -519,26 +535,30 @@ def _run_top_ns(manifest_path, config, protocol, seed, top_ns, cache):
     cache = {} if cache is None else cache
     matrix, skipped = cohort_matrix(manifest_path, config, protocol, seed,
                                     cache)
-    selections = [None] * len(top_ns)
     if config.stage == "fused_kl":
         man = _manifest(cache, manifest_path)
         aux_sids, eval_sids = aux_eval_split(man.subject_ids, seed)
         sid = np.array(matrix.subject_ids)
-        aux_rows = np.flatnonzero(np.isin(sid, aux_sids))
-        eval_rows = np.flatnonzero(np.isin(sid, eval_sids))
-        full = _select.select_features(_features.take_rows(matrix, aux_rows),
-                                       config.lam, max(top_ns))
-        matrix = _features.take_rows(matrix, eval_rows)
+        aux = _features.take_rows(matrix,
+                                  np.flatnonzero(np.isin(sid, aux_sids)))
+        matrix = _features.take_rows(matrix,
+                                     np.flatnonzero(np.isin(sid, eval_sids)))
+        full = _select.select_features(aux, config.lam, max(top_ns))
+        del aux
         selections = [replace(full, selected=full.selected[:n], top_n=n)
                       for n in top_ns]
+        matrices = [_select.apply_selection(s, matrix) for s in selections]
+    else:
+        selections = [None] * len(top_ns)
+        matrices = [matrix] * len(top_ns)
+    del matrix
     reports = []
     for top_n, selection in zip(top_ns, selections):
         cfg = replace(config, top_n=top_n)
-        m = matrix if selection is None else \
-            _select.apply_selection(selection, matrix)
-        split = split_protocol(m, protocol)
-        state = fit_pipeline_state(split.train, cfg, selection)
-        train_pred = predict_with_state(state, split.train)
+        split = split_protocol(matrices.pop(0), protocol)
+        state, fit_rows = _fit(split.train, cfg, selection)
+        train_pred = _classify_rows(state, fit_rows)
+        del fit_rows
         test_pred = predict_with_state(state, split.test)
         converged = state.svm.all_converged if state.svm is not None else True
         reports.append(ExperimentReport(

@@ -22,29 +22,56 @@ from .errors import (
 
 ALPHA_EPS = 1e-12
 TAU = 1e-12  # floor on the pair curvature a, as in LIBSVM
+BLOCK_ROWS = 256  # rows per block of the kernel's row-norm and mirror steps
 
 
 # ===== kernel =============================================================
 
+def _row_norms(a):
+    """(a * a).sum(axis=1), one block of rows at a time: the same sums
+    without a full-size squared copy of a."""
+    out = np.empty(a.shape[0])
+    for r in range(0, a.shape[0], BLOCK_ROWS):
+        blk = a[r:r + BLOCK_ROWS]
+        out[r:r + BLOCK_ROWS] = (blk * blk).sum(axis=1)
+    return out
+
+
 def squared_distances(a, b):
-    """Pairwise squared Euclidean distances, clipped at zero."""
+    """Pairwise squared Euclidean distances, clipped at zero.
+
+    Equal to ||a_i||^2 + ||b_j||^2 - 2 a_i.b_j evaluated in that order;
+    the only full-size arrays are the result and one product temporary.
+    """
     a = np.asarray(a, float)
     b = np.asarray(b, float)
-    d2 = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] \
-        - 2.0 * (a @ b.T)
-    return np.maximum(d2, 0.0)
+    d2 = _row_norms(a)[:, None] + _row_norms(b)[None, :]
+    ab = a @ b.T
+    ab *= 2.0
+    d2 -= ab
+    np.maximum(d2, 0.0, out=d2)
+    return d2
 
 
 def rbf_kernel(a, b, gamma):
     """exp(-gamma * ||x - y||^2) between the rows of a and b."""
-    return np.exp(-gamma * squared_distances(a, b))
+    k = squared_distances(a, b)
+    k *= -gamma
+    return np.exp(k, out=k)
 
 
 def rbf_gram(x, gamma):
-    """Symmetric train Gram: K[i,j] == K[j,i] and K[i,i] == 1 exactly."""
+    """Symmetric train Gram: K[i,j] == K[j,i] and K[i,i] == 1 exactly.
+
+    The strict upper triangle is copied onto the lower one block of rows
+    at a time.
+    """
     k = rbf_kernel(x, x, gamma)
-    iu = np.triu_indices(k.shape[0], 1)
-    k[(iu[1], iu[0])] = k[iu]
+    for r in range(0, k.shape[0], BLOCK_ROWS):
+        blk = k[r:r + BLOCK_ROWS, r:r + BLOCK_ROWS]
+        k[r:r + BLOCK_ROWS, :r] = k[:r, r:r + BLOCK_ROWS].T
+        low = np.tril_indices(blk.shape[0], -1)
+        blk[low] = blk.T[low]
     np.fill_diagonal(k, 1.0)
     return k
 

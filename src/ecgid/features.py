@@ -341,7 +341,8 @@ def zscore_apply(params, m):
             "matrix dim %d vs params dim %d" % (m.dim, params.mean.size)
         )
     safe = np.where(params.degenerate, 1.0, params.std)
-    out = (m.values - params.mean) / safe
+    out = m.values - params.mean
+    out /= safe
     out[:, params.degenerate] = 0.0
     return FeatureMatrix(out, m.subject_ids, m.conditions, m.layout_id,
                          m.skipped)

@@ -157,7 +157,7 @@ def synthesize_record(params, condition, duration_s, noise_on, rng_seed,
         "rest" or "post_exercise"; the latter raises heart rate to
         params.ex_hr_bpm and applies the P/T amplitude factors.
     duration_s : float
-        Record length in seconds (>= 2).
+        Record length in seconds (finite, >= 2).
     noise_on : bool
         Adds 0.25 Hz baseline wander, 50 Hz powerline, and white noise at
         the parameterized levels.
@@ -172,8 +172,9 @@ def synthesize_record(params, condition, duration_s, noise_on, rng_seed,
     """
     if condition not in CONDITIONS:
         raise InvariantViolation("unknown condition %r" % (condition,))
-    if duration_s < 2:
-        raise InvariantViolation("duration must be >= 2 s")
+    if not 2 <= duration_s < np.inf:
+        raise InvariantViolation("duration must be finite and >= 2 s, got %r"
+                                 % (duration_s,))
     rng = np.random.default_rng(rng_seed)
     n = int(round(duration_s * fs_hz))
     samples = np.zeros(n)
@@ -340,6 +341,16 @@ class DatasetManifest:
     def __post_init__(self):
         if not self.entries:
             raise InvariantViolation("manifest has no entries")
+        for entry in self.entries:
+            sid, _, rel, _ = entry
+            # load_manifest reads a line starting "#" as a comment
+            if not (_reads_back(sid) and _reads_back(rel)) \
+                    or sid.startswith("#"):
+                raise InvariantViolation(
+                    "manifest entry %r would not read back as written: its "
+                    "subject id and path must be UTF-8 text without "
+                    "surrounding whitespace, a comma or a line break, and the "
+                    "subject id must not start with '#'" % (entry,))
         counts = Counter((s, c) for (s, c, _, _) in self.entries)
         dupes = sorted(p for p, n in counts.items() if n > 1)
         if dupes:
@@ -359,6 +370,19 @@ class DatasetManifest:
     @property
     def subject_ids(self):
         return sorted({s for (s, _, _, _) in self.entries})
+
+
+def _reads_back(field):
+    """Whether a text field survives save_manifest's one UTF-8,
+    comma-separated line per entry and load_manifest's stripping."""
+    if not isinstance(field, str) or field != field.strip() \
+            or not set(field).isdisjoint(",\r\n"):
+        return False
+    try:
+        field.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def save_manifest(manifest, path):

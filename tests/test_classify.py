@@ -1,5 +1,6 @@
 """Tests for the SMO-trained one-vs-one SVM and the kNN baseline."""
 
+import kernel_oracle
 import numpy as np
 import pytest
 
@@ -78,6 +79,26 @@ def test_squared_distances_non_negative():
     d2 = squared_distances(x, x)
     assert np.all(d2 >= 0.0)
 
+
+
+# row counts at and around the kernel's 256-row blocks
+BLOCK_EDGE_ROWS = [1, 255, 256, 257, 513]
+
+
+@pytest.mark.parametrize("width", [1, 30, 10252])
+def test_kernel_is_bit_identical_to_reference(width):
+    rng = np.random.default_rng(width)
+    x = rng.normal(size=(513, width))
+    x[7] = x[3]  # a duplicate row: its distance is clipped at zero
+    for n, m in zip(BLOCK_EDGE_ROWS, BLOCK_EDGE_ROWS[1:] + BLOCK_EDGE_ROWS[:1]):
+        a, b = x[:n], x[-m:]
+        assert np.array_equal(squared_distances(a, b),
+                              kernel_oracle.squared_distances(a, b))
+        for gamma in (1.0, 1.0 / width):
+            assert np.array_equal(rbf_kernel(a, b, gamma),
+                                  kernel_oracle.rbf_kernel(a, b, gamma))
+            assert np.array_equal(rbf_gram(a, gamma),
+                                  kernel_oracle.rbf_gram(a, gamma))
 
 # ===== SMO ================================================================
 

@@ -48,6 +48,16 @@ def test_gen_is_reproducible(gen_dir, tmp_path):
         assert first == second, name
 
 
+@pytest.mark.parametrize("flag", ["--rest-duration", "--ex-duration"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_gen_rejects_non_finite_durations(tmp_path, capsys, flag, value):
+    out = tmp_path / "cohort"
+    assert cli_main(["gen", "--subjects", "2", "--seed", "1", "--out",
+                     str(out), "%s=%s" % (flag, value)]) == 2
+    assert "duration must be finite and >= 2 s" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_detect_emits_indices(gen_dir, tmp_path, capsys):
     record = os.path.join(gen_dir, "s01_rest.txt")
     out = str(tmp_path / "peaks.txt")

@@ -436,6 +436,50 @@ def test_save_load_manifest_is_identity(manifest):
         assert load_manifest(path) == manifest
 
 
+
+@pytest.mark.parametrize("sid,rel", [
+    ("#s2", "a.txt"), (" s2", "a.txt"), ("s2\t", "a.txt"), ("s,2", "a.txt"),
+    ("s\n2", "a.txt"), ("s\r2", "a.txt"), ("s2", " a.txt"), ("s2", "a,txt"),
+    ("s2", "a\ntxt"), ("s\ud800", "a.txt"), (2, "a.txt"), ("s2", None)])
+def test_manifest_rejects_entries_that_would_not_read_back(sid, rel):
+    entry = (sid, "rest", rel, 10.0)
+    with pytest.raises(InvariantViolation) as exc:
+        DatasetManifest((("s1", "rest", "s1.txt", 10.0), entry))
+    assert repr(entry) in str(exc.value)
+
+
+# any text, weighted toward the characters the line format gives meaning
+# to, and a lone surrogate that UTF-8 cannot encode
+ANY_FIELD = st.text(
+    st.characters() | st.sampled_from("#, \t\r\n\x85\u2028\ud800"),
+    max_size=6)
+
+
+@st.composite
+def manifest_entries(draw):
+    entries = []
+    for sid in draw(st.lists(ANY_FIELD, min_size=1, max_size=4, unique=True)):
+        for cond in draw(st.sampled_from([CONDITIONS[:1], CONDITIONS])):
+            entries.append((sid, cond, draw(ANY_FIELD),
+                            draw(st.floats(allow_nan=False))))
+    return tuple(draw(st.permutations(entries)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(manifest_entries(), st.none() | st.integers())
+@example((("#s1", "rest", "a", 1.0),), None)
+@example((("s1", "rest", " a", 1.0),), 3)
+@example((("s1", "rest", "a\rb", 1.0),), None)
+def test_manifest_builds_only_what_reads_back(entries, seed):
+    try:
+        manifest = DatasetManifest(entries, seed)
+    except EcgidError:
+        return
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "m.txt")
+        save_manifest(manifest, path)
+        assert load_manifest(path) == manifest
+
 # ===== cohort builder =====================================================
 
 def test_build_cohort_shape_and_determinism():
