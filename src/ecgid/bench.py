@@ -18,7 +18,7 @@ import numpy as np
 from . import classify as _classify
 from . import features as _features
 from . import select as _select
-from .detect import QrsDetection, detect_r_peaks
+from .detect import detect_r_peaks
 from .dsp import preprocess_ecg
 from .errors import (
     EcgidError,
@@ -29,9 +29,32 @@ from .errors import (
 )
 from .ingest import EcgRecord, derive_seed, load_manifest, load_record
 
-PROTOCOLS = ("rest_rest", "ex_first70", "ex_last70", "rest_ex")
-STAGES = ("qrs30", "beat300", "pqrst240", "bandpass10_40+beat300",
-          "stft", "cwt", "ac", "ac_beat", "fused", "fused_kl")
+# protocol -> the conditions it reads: one condition split chronologically,
+# or (train condition, test condition)
+PROTOCOL_CONDITIONS = {"rest_rest": ("rest",),
+                       "ex_first70": ("post_exercise",),
+                       "ex_last70": ("post_exercise",),
+                       "rest_ex": ("rest", "post_exercise")}
+PROTOCOLS = tuple(PROTOCOL_CONDITIONS)
+# stage -> (extractor in ecgid.features, the config fields it reads); the
+# build passes exactly these fields, and they are part of the rows' cache key
+STAGE_EXTRACTORS = {
+    "qrs30": ("qrs_features", ()),
+    "beat300": ("beat_features", ()),
+    "pqrst240": ("pqrst_features", ()),
+    "bandpass10_40+beat300": ("beat_features", ()),
+    "stft": ("stft_features", ()),
+    "cwt": ("cwt_features", ()),
+    "ac": ("ac_features", ("n_lags", "window_s")),
+    "ac_beat": ("ac_beat_features", ("n_lags",)),
+    "fused": ("fused_features", ()),
+    "fused_kl": ("fused_features", ()),
+}
+STAGES = tuple(STAGE_EXTRACTORS)
+# every record is band-passed to BAND_HZ for detection and features; the
+# bandpass10_40+beat300 stage takes its beats from the NARROW_BAND_HZ signal
+BAND_HZ = (0.5, 40.0)
+NARROW_BAND_HZ = (10.0, 40.0)
 REDUCTIONS = ("none", "pca")
 CLASSIFIERS = ("svm", "knn")
 TRAIN_FRACTION = 0.7
@@ -55,7 +78,6 @@ class PipelineConfig:
     lam: float = 0.3
     top_n: int = 200
     reduction: str = "none"
-    variance_retained: float = 0.99
     normalize: bool = False
     classifier: str = "svm"
     c: float = 100.0
@@ -63,8 +85,6 @@ class PipelineConfig:
     tol: float = 1e-3
     max_epochs: int = 200
     knn_k: int = 1
-    lo_hz: float = 0.5
-    hi_hz: float = 40.0
     max_beats_per_subject: int = 120
 
     def __post_init__(self):
@@ -177,6 +197,13 @@ def _split_indices(n, protocol):
     raise InvariantViolation("protocol %r has no fraction split" % (protocol,))
 
 
+def _conditions(protocol):
+    if protocol not in PROTOCOL_CONDITIONS:
+        raise InvariantViolation("unknown protocol %r (one of %s)"
+                                 % (protocol, ", ".join(PROTOCOLS)))
+    return PROTOCOL_CONDITIONS[protocol]
+
+
 def split_protocol(m, protocol):
     """Per-subject chronological train/test split.
 
@@ -186,21 +213,17 @@ def split_protocol(m, protocol):
     rest_ex: all rest rows train, all post-exercise rows test.
     Subjects with < 10 train or < 3 test rows are dropped (counted).
     """
-    if protocol not in PROTOCOLS:
-        raise InvariantViolation("unknown protocol %r (one of %s)"
-                                 % (protocol, ", ".join(PROTOCOLS)))
+    conds = _conditions(protocol)
     sid = np.array(m.subject_ids)
     cond = np.array(m.conditions)
     train_idx, test_idx, dropped = [], [], []
     for s in sorted(set(m.subject_ids)):
-        if protocol == "rest_ex":
-            tr = np.flatnonzero((sid == s) & (cond == "rest"))
-            te = np.flatnonzero((sid == s) & (cond == "post_exercise"))
+        rows = [np.flatnonzero((sid == s) & (cond == c)) for c in conds]
+        if len(rows) == 2:  # one whole condition trains, the other tests
+            tr, te = rows
         else:
-            want = "rest" if protocol == "rest_rest" else "post_exercise"
-            rows = np.flatnonzero((sid == s) & (cond == want))
-            tr_local, te_local = _split_indices(rows.size, protocol)
-            tr, te = rows[tr_local], rows[te_local]
+            tr_local, te_local = _split_indices(rows[0].size, protocol)
+            tr, te = rows[0][tr_local], rows[0][te_local]
         if tr.size < MIN_TRAIN_ROWS or te.size < MIN_TEST_ROWS:
             dropped.append(s)
             continue
@@ -215,112 +238,71 @@ def split_protocol(m, protocol):
 
 
 # ===== cohort featurization (cached) ======================================
+# Cache keys hold the manifest's absolute path, which each entry point
+# takes once.
 
-def _truncate_detection(det, n):
-    if len(det) <= n:
-        return det
-    return QrsDetection(det.r_peaks[:n], det.qrs_onsets[:n],
-                        det.qrs_offsets[:n], det.fs_hz)
-
-
-def _cache_get(cache, key, build):
+def _cached(cache, key, build):
     if key not in cache:
         cache[key] = build()
     return cache[key]
 
 
-def _manifest(cache, manifest_path):
-    path = os.path.abspath(manifest_path)
-    return _cache_get(cache, ("manifest", path), lambda: load_manifest(path))
+def _manifest(cache, path):
+    return _cached(cache, ("manifest", path), lambda: load_manifest(path))
 
 
-def _record(cache, manifest_path, sid, cond):
-    path = os.path.abspath(manifest_path)
-
-    def build():
-        for s, c, rel, _ in _manifest(cache, manifest_path).entries:
+def _filtered(cache, path, sid, cond, band):
+    """One record band-passed to `band`; the file is read once per cache."""
+    def load():
+        for s, c, rel, _ in _manifest(cache, path).entries:
             if (s, c) == (sid, cond):
                 full = os.path.join(os.path.dirname(path), rel)
                 return load_record(full, sid, cond)
         raise EmptyCohort("manifest has no %s/%s record" % (sid, cond))
-    return _cache_get(cache, ("record", path, sid, cond), build)
 
-
-def _preprocessed(cache, manifest_path, sid, cond, lo, hi):
     def build():
-        rec = _record(cache, manifest_path, sid, cond)
-        samples = preprocess_ecg(rec.samples, rec.sampling_rate_hz, lo, hi)
+        rec = _cached(cache, ("record", path, sid, cond), load)
+        samples = preprocess_ecg(rec.samples, rec.sampling_rate_hz, *band)
         return EcgRecord(sid, cond, rec.sampling_rate_hz, samples)
-    path = os.path.abspath(manifest_path)
-    return _cache_get(cache, ("pre", path, sid, cond, lo, hi), build)
+    return _cached(cache, ("filtered", path, sid, cond, band), build)
 
 
-def _detection(cache, manifest_path, sid, cond, lo, hi):
-    def build():
-        rec = _preprocessed(cache, manifest_path, sid, cond, lo, hi)
-        return detect_r_peaks(rec.samples, rec.sampling_rate_hz)
-    path = os.path.abspath(manifest_path)
-    return _cache_get(cache, ("det", path, sid, cond, lo, hi), build)
-
-
-def _stage_key(config):
-    if config.stage == "ac":
-        return ("ac", config.n_lags, config.window_s)
-    if config.stage in ("fused", "fused_kl"):
-        return ("fused",)
-    return (config.stage,)
-
-
-def _record_stage_matrix(cache, manifest_path, sid, cond, config):
+def _record_stage_matrix(cache, path, sid, cond, config):
     """Stage features for one record, capped at max_beats_per_subject."""
-    key = ("stage", os.path.abspath(manifest_path), sid, cond,
-           _stage_key(config), config.lo_hz, config.hi_hz,
-           config.max_beats_per_subject)
+    name, reads = STAGE_EXTRACTORS[config.stage]
+    kwargs = {f: getattr(config, f) for f in reads}
+    band = (NARROW_BAND_HZ if config.stage == "bandpass10_40+beat300"
+            else BAND_HZ)
+    n = config.max_beats_per_subject
+    key = ("stage", path, sid, cond, name, band, tuple(kwargs.items()), n)
+
+    def detection():
+        rec = _filtered(cache, path, sid, cond, BAND_HZ)
+        return detect_r_peaks(rec.samples, rec.sampling_rate_hz)
 
     def build():
-        stage = config.stage
         try:
-            rec = _preprocessed(cache, manifest_path, sid, cond,
-                                config.lo_hz, config.hi_hz)
-            det = _detection(cache, manifest_path, sid, cond,
-                             config.lo_hz, config.hi_hz)
-            det = _truncate_detection(det, config.max_beats_per_subject)
-            if stage == "qrs30":
-                return _features.qrs_features(rec, det)
-            if stage == "beat300":
-                return _features.beat_features(rec, det)
-            if stage == "pqrst240":
-                return _features.pqrst_features(rec, det)
-            if stage == "bandpass10_40+beat300":
-                narrow = _preprocessed(cache, manifest_path, sid, cond,
-                                       10.0, 40.0)
-                return _features.beat_features(narrow, det)
-            if stage == "stft":
-                return _features.stft_features(rec, det)
-            if stage == "cwt":
-                return _features.cwt_features(rec, det)
-            if stage == "ac":
-                return _features.ac_features(rec, det, n_lags=config.n_lags,
-                                             window_s=config.window_s)
-            if stage == "ac_beat":
-                return _features.ac_beat_features(rec, det,
-                                                  n_lags=config.n_lags)
-            return _features.fused_features(rec, det)
+            det = _cached(cache, ("detection", path, sid, cond), detection)
+            det = replace(det, r_peaks=det.r_peaks[:n],
+                          qrs_onsets=det.qrs_onsets[:n],
+                          qrs_offsets=det.qrs_offsets[:n])
+            # looked up per call, so wrappers installed on ecgid.features run
+            extract = getattr(_features, name)
+            return extract(_filtered(cache, path, sid, cond, band), det,
+                           **kwargs)
         except EmptyCohort:
             raise  # the manifest lacks this record; no stage ran
         except EcgidError as exc:
             raise StageFailure("subject %s/%s at stage %s: %s"
-                               % (sid, cond, stage, exc)) from exc
+                               % (sid, cond, config.stage, exc)) from exc
 
-    return _cache_get(cache, key, build)
+    return _cached(cache, key, build)
 
 
 def _required_entries(manifest, protocol, config, seed):
-    """(sid, cond) pairs a run actually needs, in deterministic order."""
-    base = {"rest_rest": ("rest",),
-            "ex_first70": ("post_exercise",),
-            "ex_last70": ("post_exercise",),
-            "rest_ex": ("rest", "post_exercise")}[protocol]
+    """(sid, cond) pairs a run actually needs, in deterministic order; an
+    unknown protocol raises here, before any record is featurized."""
+    base = _conditions(protocol)
     subjects = manifest.subject_ids
     if config.stage == "fused_kl":
         aux, eval_ = aux_eval_split(subjects, seed)
@@ -354,8 +336,9 @@ def featurize_cohort(manifest_path, config, entries, cache=None):
     `skipped` sums the records' skipped beats. Without a cache, each record
     is still loaded and filtered once."""
     cache = {} if cache is None else cache
+    path = os.path.abspath(manifest_path)
     return _features.concat_matrices([
-        _record_stage_matrix(cache, manifest_path, sid, cond, config)
+        _record_stage_matrix(cache, path, sid, cond, config)
         for sid, cond in entries])
 
 
@@ -366,8 +349,9 @@ def cohort_matrix(manifest_path, config, protocol, seed, cache=None):
     records are ordered by (subject, condition).
     """
     cache = {} if cache is None else cache
-    entries = _required_entries(_manifest(cache, manifest_path), protocol,
-                                config, seed)
+    entries = _required_entries(
+        _manifest(cache, os.path.abspath(manifest_path)), protocol, config,
+        seed)
     matrix = featurize_cohort(manifest_path, config, entries, cache)
     return matrix, int(matrix.skipped)
 
@@ -396,7 +380,7 @@ def _fit(train, config, selection):
         m = _features.zscore_apply(zparams, m)
     pmodel = None
     if config.reduction == "pca":
-        pmodel = _select.pca_fit(m, config.variance_retained)
+        pmodel = _select.pca_fit(m)
         m = _select.pca_transform(pmodel, m)
     if config.classifier == "svm":
         model = _classify.svm_train(m, c=config.c, gamma=config.gamma,
@@ -529,14 +513,11 @@ def _run_top_ns(manifest_path, config, protocol, seed, top_ns, cache):
     the z-scored or projected training rows once they are classified."""
     if not top_ns:
         return []
-    if protocol not in PROTOCOLS:
-        raise InvariantViolation("unknown protocol %r (one of %s)"
-                                 % (protocol, ", ".join(PROTOCOLS)))
     cache = {} if cache is None else cache
-    matrix, skipped = cohort_matrix(manifest_path, config, protocol, seed,
-                                    cache)
+    path = os.path.abspath(manifest_path)
+    matrix, skipped = cohort_matrix(path, config, protocol, seed, cache)
     if config.stage == "fused_kl":
-        man = _manifest(cache, manifest_path)
+        man = _manifest(cache, path)
         aux_sids, eval_sids = aux_eval_split(man.subject_ids, seed)
         sid = np.array(matrix.subject_ids)
         aux = _features.take_rows(matrix,

@@ -118,9 +118,9 @@ def filter_zero_phase(coeffs, x):
     return y[pad:pad + x.size]
 
 
-def preprocess_ecg(x, fs_hz, lo_hz=0.5, hi_hz=40.0, order=4):
+def preprocess_ecg(x, fs_hz, lo_hz=0.5, hi_hz=40.0):
     """Standard front-end: zero-phase order-4 band-pass, default 0.5-40 Hz."""
-    coeffs = design_butterworth_bandpass(order, lo_hz, hi_hz, fs_hz)
+    coeffs = design_butterworth_bandpass(4, lo_hz, hi_hz, fs_hz)
     return filter_zero_phase(coeffs, np.asarray(x, dtype=float))
 
 

@@ -8,6 +8,7 @@ additionally scales P amplitude up and T amplitude down by fixed factors.
 """
 
 import hashlib
+import numbers
 from collections import Counter
 from dataclasses import dataclass, replace
 
@@ -177,7 +178,11 @@ def synthesize_record(params, condition, duration_s, noise_on, rng_seed,
                                  % (duration_s,))
     rng = np.random.default_rng(rng_seed)
     n = int(round(duration_s * fs_hz))
-    samples = np.zeros(n)
+    try:
+        samples = np.zeros(n)
+    except (ValueError, MemoryError) as exc:
+        raise InvariantViolation("duration %r s is too long to synthesize: %s"
+                                 % (duration_s, exc)) from exc
 
     hr = params.ex_hr_bpm if condition == "post_exercise" else params.rest_hr_bpm
     base_period = 60.0 / hr
@@ -342,7 +347,10 @@ class DatasetManifest:
         if not self.entries:
             raise InvariantViolation("manifest has no entries")
         for entry in self.entries:
-            sid, _, rel, _ = entry
+            if not (isinstance(entry, tuple) and len(entry) == 4):
+                raise InvariantViolation("manifest entry %r is not a 4-tuple"
+                                         % (entry,))
+            sid, cond, rel, dur = entry
             # load_manifest reads a line starting "#" as a comment
             if not (_reads_back(sid) and _reads_back(rel)) \
                     or sid.startswith("#"):
@@ -351,6 +359,14 @@ class DatasetManifest:
                     "subject id and path must be UTF-8 text without "
                     "surrounding whitespace, a comma or a line break, and the "
                     "subject id must not start with '#'" % (entry,))
+            if cond not in CONDITIONS:
+                raise InvariantViolation("unknown condition %r" % (cond,))
+            # save_manifest writes float(dur): only a real number reads back
+            try:
+                float(dur if isinstance(dur, numbers.Real) else None)
+            except (TypeError, OverflowError):
+                raise InvariantViolation("manifest entry %r: duration is not "
+                                         "a float" % (entry,)) from None
         counts = Counter((s, c) for (s, c, _, _) in self.entries)
         dupes = sorted(p for p, n in counts.items() if n > 1)
         if dupes:
@@ -363,9 +379,6 @@ class DatasetManifest:
             raise InvariantViolation(
                 "subjects without a rest entry: %s" % sorted(subjects - with_rest)
             )
-        for (_, c, _, _) in self.entries:
-            if c not in CONDITIONS:
-                raise InvariantViolation("unknown condition %r" % (c,))
 
     @property
     def subject_ids(self):

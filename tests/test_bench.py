@@ -1,6 +1,7 @@
 """Tests for the experiment harness: config, splits, runs, reports."""
 
 import dataclasses
+import inspect
 import os
 import tracemalloc
 
@@ -137,7 +138,6 @@ def test_parse_config_parses_or_raises_typed(text):
     assert isinstance(cfg, PipelineConfig)
 
 
-FINITE = st.floats(allow_nan=False, allow_infinity=False)
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
@@ -149,11 +149,10 @@ def pipeline_configs(draw):
         stage=draw(st.sampled_from(STAGES)), n_lags=draw(st.integers()),
         window_s=draw(POSITIVE), lam=draw(st.floats(0.0, 1.0)),
         top_n=draw(st.integers()), reduction=draw(st.sampled_from(REDUCTIONS)),
-        variance_retained=draw(FINITE), normalize=draw(st.booleans()),
+        normalize=draw(st.booleans()),
         classifier=draw(st.sampled_from(CLASSIFIERS)), c=draw(POSITIVE),
         gamma=draw(POSITIVE), tol=draw(POSITIVE),
         max_epochs=draw(st.integers(min_value=1)), knn_k=draw(st.integers()),
-        lo_hz=draw(FINITE), hi_hz=draw(FINITE),
         max_beats_per_subject=draw(st.integers(min_value=1)))
     assume(values["stage"] != "ac"
            or values["n_lags"] < values["window_s"] * 300.0 / 2)
@@ -287,6 +286,57 @@ def test_run_without_cache_loads_each_record_once(small_manifest,
     loads.clear()
     featurize_cohort(small_manifest, cfg, [("s02", "post_exercise")])
     assert loads == [("s02", "post_exercise")]
+
+
+# a second valid value of each field an extractor reads
+OTHER_VALUE = {"n_lags": 10, "window_s": 1.0}
+
+
+@pytest.mark.parametrize("stage,field", [
+    (stage, field) for stage, (_, reads) in bench.STAGE_EXTRACTORS.items()
+    for field in reads])
+def test_cached_rows_are_keyed_by_the_fields_their_extractor_reads(
+        small_manifest, stage, field):
+    cfg = PipelineConfig(stage=stage, n_lags=20, window_s=0.5,
+                         classifier="knn")
+    warm = dataclasses.replace(cfg, **{field: OTHER_VALUE[field]})
+    cache = {}
+    warm_report = run_pipeline(small_manifest, warm, "rest_rest", 1,
+                               cache=cache)
+    fresh = run_pipeline(small_manifest, cfg, "rest_rest", 1)
+    assert warm_report.state_fingerprint != fresh.state_fingerprint
+    assert run_pipeline(small_manifest, cfg, "rest_rest", 1,
+                        cache=cache) == fresh
+
+
+def test_stage_table_names_every_parameter_its_extractor_takes():
+    # a parameter left out of the table would run at its default and be
+    # missing from the cache key
+    for stage, (name, reads) in bench.STAGE_EXTRACTORS.items():
+        params = inspect.signature(getattr(bench._features, name)).parameters
+        assert list(params) == ["record", "det", *reads], stage
+
+
+def test_stages_share_cached_rows_only_on_the_same_extractor_and_band(
+        small_manifest):
+    entries = [("s01", "rest"), ("s02", "post_exercise")]
+    beat = PipelineConfig(stage="beat300", classifier="knn")
+    narrow = PipelineConfig(stage="bandpass10_40+beat300", classifier="knn")
+    cache = {}
+    run_pipeline(small_manifest, beat, "rest_rest", 1, cache=cache)
+    assert run_pipeline(small_manifest, narrow, "rest_rest", 1,
+                        cache=cache) \
+        == run_pipeline(small_manifest, narrow, "rest_rest", 1)
+    assert not np.array_equal(
+        featurize_cohort(small_manifest, beat, entries, cache).values,
+        featurize_cohort(small_manifest, narrow, entries, cache).values)
+    # fused and fused_kl read the same signal with the same extractor
+    featurize_cohort(small_manifest, PipelineConfig(stage="fused"), entries,
+                     cache)
+    n = len(cache)
+    featurize_cohort(small_manifest, PipelineConfig(stage="fused_kl"),
+                     entries, cache)
+    assert len(cache) == n
 
 
 def test_run_pipeline_ac_pca_knn(small_manifest):

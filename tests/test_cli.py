@@ -1,14 +1,15 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import csv
+import dataclasses
 import io
 import os
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from ecgid.bench import REPORT_COLUMNS, parse_report_csv
+from ecgid.bench import REPORT_COLUMNS, PipelineConfig, parse_report_csv
 from ecgid.cli import cli_main
 from ecgid.errors import EcgidError, InvariantViolation
 from ecgid.features import load_feature_matrix
@@ -55,6 +56,15 @@ def test_gen_rejects_non_finite_durations(tmp_path, capsys, flag, value):
     assert cli_main(["gen", "--subjects", "2", "--seed", "1", "--out",
                      str(out), "%s=%s" % (flag, value)]) == 2
     assert "duration must be finite and >= 2 s" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_rejects_a_duration_too_long_to_allocate(tmp_path, capsys):
+    # numpy refuses this size before allocating anything
+    out = tmp_path / "cohort"
+    assert cli_main(["gen", "--subjects", "1", "--seed", "1", "--out",
+                     str(out), "--rest-duration", "1e300"]) == 2
+    assert "duration 1e+300 s is too long" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -144,6 +154,16 @@ def test_data_errors_exit_2(tmp_path, capsys):
     assert cli_main(["run", "--manifest", missing, "--protocol", "rest_rest",
                      "--config", str(bad_cfg)]) == 2
     assert "gamma must be finite and > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["lo_hz", "hi_hz", "variance_retained"])
+def test_config_keys_of_the_fixed_band_and_pca_exit_2(gen_dir, tmp_path,
+                                                      capsys, key):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("%s=0.9\n" % key, encoding="utf-8")
+    assert cli_main(["run", "--manifest", manifest_of(gen_dir), "--protocol",
+                     "rest_rest", "--config", str(cfg)]) == 2
+    assert "unknown key %r" % key in capsys.readouterr().err
 
 
 def test_run_rejects_infinite_or_huge_ac_window(gen_dir, tmp_path, capsys):
@@ -260,3 +280,129 @@ def test_sweep_bad_top_n_list_exits_1(gen_dir, capsys):
     assert cli_main(["sweep", "--manifest", manifest_of(gen_dir),
                      "--protocol", "rest_ex", "--top-n-list", "5,x"]) == 1
     assert "integers" in capsys.readouterr().err
+
+
+# ===== fuzzed input files =================================================
+# Each call writes one input file, valid text with up to two lines or
+# fields fuzzed, and runs the subcommand that reads it. Whatever the file
+# holds, the CLI returns 0, 1 or 2 and raises nothing.
+
+FUZZ_SUBJECTS = ("s01", "s02", "s03")
+FUZZ_TOKENS = st.one_of(st.sampled_from([
+    "0", "1.5", "-2", "1e300", "1e400", "nan", "inf", "x", "", " 3 ", "1_0",
+    "1,2", "s04", "rest", "post_exercise", "absent.txt", "manifest.txt", "#",
+    "fs=81", "fs=0", "layout=toy,dim=3", "stage=ac_beat"]),
+    st.text(max_size=6))
+CONFIG_KEYS = [f.name for f in dataclasses.fields(PipelineConfig)]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    # not gen_dir: the fuzzed files would join the cohort that
+    # test_gen_is_reproducible compares file by file
+    d = str(tmp_path_factory.mktemp("fuzz_cohort"))
+    assert cli_main(["gen", "--subjects", "3", "--seed", "5", "--out", d,
+                     "--rest-duration", "20", "--ex-duration", "15"]) == 0
+    return d
+
+
+@st.composite
+def mutated(draw, lines):
+    """The lines joined, after up to two fuzzed edits: a line inserted,
+    replaced or dropped, or one comma-separated field replaced."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(lines)))
+        how = draw(st.sampled_from(["insert", "replace", "drop", "field"]))
+        token = draw(FUZZ_TOKENS)
+        if how == "insert" or i == len(lines):
+            lines.insert(i, token)
+        elif how == "replace":
+            lines[i] = token
+        elif how == "drop":
+            del lines[i]
+        else:
+            fields = lines[i].split(",")
+            fields[draw(st.integers(0, len(fields) - 1))] = token
+            lines[i] = ",".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def fuzzed_records(draw):
+    period = draw(st.integers(40, 150))  # 0.4-1.5 s beats at 100 Hz
+    body = ["1.0" if i % period == 0 else "0.0"
+            for i in range(draw(st.integers(150, 1200)))]
+    band = draw(st.sampled_from([("0.5", "40"), ("5", "15"), ("10", "40"),
+                                 ("40", "10"), ("0", "40"), ("nan", "40"),
+                                 ("0.5", "50")]))
+    return ({"record.txt": draw(mutated(["fs=100"] + body))},
+            ["detect", "--record", "record.txt", "--lo", band[0],
+             "--hi", band[1]])
+
+
+@st.composite
+def fuzzed_manifests(draw):
+    lines = ["# seed=5"] + ["%s,%s,%s_%s.txt,20.0" % (s, c, s, c)
+                            for s in FUZZ_SUBJECTS
+                            for c in ("rest", "post_exercise")]
+    stage = draw(st.sampled_from(["qrs30", "pqrst240", "ac_beat", "stft"]))
+    return ({"fuzzed_manifest.txt": draw(mutated(lines))},
+            ["featurize", "--manifest", "fuzzed_manifest.txt", "--stage",
+             stage, "--out", "features.txt"])
+
+
+@st.composite
+def fuzzed_feature_files(draw):
+    value = st.integers(-3, 3).map(str)
+    rows = ["%s,%s,%s,%s" % (s, c, draw(value), draw(value))
+            for s in FUZZ_SUBJECTS[:2] for c in ("rest", "post_exercise")
+            for _ in range(draw(st.integers(1, 3)))]
+    return ({"features.txt": draw(mutated(["layout=toy,dim=2"] + rows))},
+            ["select", "--features", "features.txt",
+             "--lam", draw(st.sampled_from(["0.3", "0", "1", "2", "nan"])),
+             "--top-n", draw(st.sampled_from(["1", "2", "0", "3"])),
+             "--out", "weights.txt"])
+
+
+@st.composite
+def fuzzed_configs(draw):
+    values = ["qrs30", "ac", "ac_beat", "fused_kl", "pca", "knn", "svm",
+              "on", "off", "1", "2", "20", "80", "-1", "0", "0.5", "1e300",
+              "inf", "nan"]
+    lines = draw(st.lists(st.builds(
+        "{}={}".format, st.sampled_from(CONFIG_KEYS + ["lo_hz"]),
+        st.sampled_from(values)), max_size=2))
+    return ({"config.txt": draw(mutated(lines))},
+            ["run", "--manifest", "manifest.txt", "--protocol",
+             draw(st.sampled_from(["rest_rest", "ex_last70", "rest_ex"])),
+             "--config", "config.txt", "--out", "run.csv"])
+
+
+@st.composite
+def fuzzed_reports(draw):
+    lines = [",".join(REPORT_COLUMNS),
+             "qrs30+svm,rest_rest,90.0%,80.0%,3,30,12,0,1,100.0%",
+             '"ac(80,1)+knn1",rest_ex,99.0%,50.0%,3,30,12,1,1,66.7%']
+    return ({"good.csv": "\n".join(lines) + "\n",
+             "fuzzed.csv": draw(mutated(lines))},
+            ["report", "--inputs", "good.csv", "fuzzed.csv",
+             "--format", draw(st.sampled_from(["csv", "markdown"])),
+             "--out", "merged.txt"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(fuzzed_records(), fuzzed_manifests(), fuzzed_feature_files(),
+                 fuzzed_configs(), fuzzed_reports()))
+def test_cli_on_fuzzed_files_exits_0_1_or_2(fuzz_dir, call):
+    files, argv = call
+    for name, text in files.items():
+        with open(os.path.join(fuzz_dir, name), "w", encoding="utf-8",
+                  newline="") as fh:
+            fh.write(text)
+    paths = set(files) | {"manifest.txt", "features.txt", "weights.txt",
+                          "run.csv", "merged.txt"}
+    argv = [os.path.join(fuzz_dir, a) if a in paths else a for a in argv]
+    code = cli_main(argv)
+    event("%s exits %d" % (argv[0], code))
+    assert code in (0, 1, 2)

@@ -437,12 +437,24 @@ def test_save_load_manifest_is_identity(manifest):
 
 
 
-@pytest.mark.parametrize("sid,rel", [
+BAD_FIELDS = [
     ("#s2", "a.txt"), (" s2", "a.txt"), ("s2\t", "a.txt"), ("s,2", "a.txt"),
     ("s\n2", "a.txt"), ("s\r2", "a.txt"), ("s2", " a.txt"), ("s2", "a,txt"),
-    ("s2", "a\ntxt"), ("s\ud800", "a.txt"), (2, "a.txt"), ("s2", None)])
-def test_manifest_rejects_entries_that_would_not_read_back(sid, rel):
-    entry = (sid, "rest", rel, 10.0)
+    ("s2", "a\ntxt"), ("s\ud800", "a.txt"), (2, "a.txt"), ("s2", None)]
+
+
+@pytest.mark.parametrize("entry", [
+    pytest.param((sid, "rest", rel, 10.0), id="%s-%s" % (sid, rel))
+    for sid, rel in BAD_FIELDS] + [
+    pytest.param(("s2", "rest", "a.txt"), id="3-tuple"),
+    pytest.param(("s2", "rest", "a.txt", 10.0, 1), id="5-tuple"),
+    pytest.param(["s2", "rest", "a.txt", 10.0], id="list"),
+    pytest.param("s2", id="str"),
+    pytest.param(("s2", "rest", "a.txt", "x"), id="duration-x"),
+    pytest.param(("s2", "rest", "a.txt", "10.0"), id="duration-text"),
+    pytest.param(("s2", "rest", "a.txt", None), id="duration-None"),
+    pytest.param(("s2", "rest", "a.txt", 10 ** 400), id="duration-overflow")])
+def test_manifest_rejects_entries_that_would_not_read_back(entry):
     with pytest.raises(InvariantViolation) as exc:
         DatasetManifest((("s1", "rest", "s1.txt", 10.0), entry))
     assert repr(entry) in str(exc.value)

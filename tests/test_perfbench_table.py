@@ -7,6 +7,9 @@ import os
 
 import pytest
 
+import ecgid.bench
+import ecgid.features
+
 TRACING = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                        "perfbench", "tracing.py")
 
@@ -31,3 +34,10 @@ def test_traced_function_exists(module, name):
     assert mod.__file__.startswith(os.path.dirname(importlib.import_module(
         "ecgid").__file__))
     assert callable(getattr(mod, name, None)), "%s.%s is gone" % (module, name)
+
+
+def test_every_stage_extractor_is_traced():
+    extractors = {name for name, _ in ecgid.bench.STAGE_EXTRACTORS.values()}
+    for name in sorted(extractors):
+        assert callable(getattr(ecgid.features, name, None)), name
+    assert extractors <= set(load_tracing().EXTRACTORS)
