@@ -496,11 +496,10 @@ def subject_majority_accuracy(pred, truth):
     per = {}
     for p, t in zip(pred.labels, truth):
         per.setdefault(t, []).append(p)
-    hits = 0
-    for t, preds in per.items():
-        modal = sorted(set(preds), key=lambda lab: (-preds.count(lab), lab))[0]
-        hits += int(modal == t)
-    return hits / len(per)
+    if not per:
+        raise InvariantViolation("no predictions to score")
+    return sum(min(set(preds), key=lambda lab: (-preds.count(lab), lab)) == t
+               for t, preds in per.items()) / len(per)
 
 
 def _run_top_ns(manifest_path, config, protocol, seed, top_ns, cache):
@@ -607,8 +606,6 @@ def render_report(reports, fmt="csv"):
     """
     if not reports:
         raise InvariantViolation("no reports to render")
-    if fmt not in ("csv", "markdown"):
-        raise InvariantViolation("format must be csv or markdown")
     rows = []
     for r in sorted(reports, key=lambda r: (r.pipeline, r.protocol)):
         rows.append((r.pipeline, r.protocol,
@@ -622,7 +619,9 @@ def render_report(reports, fmt="csv"):
 
 
 def render_rows(rows, fmt):
-    """Render pre-formatted report rows (tuples of strings)."""
+    """Render pre-formatted report rows (tuples of strings) as csv or markdown."""
+    if fmt not in ("csv", "markdown"):
+        raise InvariantViolation("format must be csv or markdown")
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

@@ -360,15 +360,20 @@ def svm_predict(model, m):
         raise DimensionMismatch(
             "matrix dim %d vs model dim %d" % (m.dim, model.dim))
     dec = svm_decision_values(model, m.values)
-    votes = np.zeros((m.n_rows, len(model.classes)), dtype=int)
     col_of = {cls: i for i, cls in enumerate(model.classes)}
-    for col, pair in enumerate(model.pairs):
-        winners = np.where(dec[:, col] >= 0.0,
-                           col_of[pair.label_pos], col_of[pair.label_neg])
-        np.add.at(votes, (np.arange(m.n_rows), winners), 1)
+    pos, neg = np.array([(col_of[p.label_pos], col_of[p.label_neg])
+                         for p in model.pairs]).T
+    return _vote(np.where(dec >= 0.0, pos, neg), model.classes)
+
+
+def _vote(winners, classes):
+    """Votes and most-voted label per row of winning class columns."""
+    n, k = winners.shape[0], len(classes)
+    votes = np.bincount((np.arange(n)[:, None] * k + winners).ravel(),
+                        minlength=n * k).reshape(n, k)
     # np.argmax returns the first maximum, i.e. the ascending-order label
-    pred = tuple(model.classes[i] for i in np.argmax(votes, axis=1))
-    return PredictionResult(pred, votes, model.classes)
+    pred = tuple(classes[i] for i in np.argmax(votes, axis=1))
+    return PredictionResult(pred, votes, classes)
 
 
 # ===== nearest neighbor ===================================================
@@ -390,10 +395,7 @@ def knn_predict(train, test, k=1):
     # a stable sort keeps distance ties in ascending train-row order
     near = np.argsort(squared_distances(test.values, train.values), axis=1,
                       kind="stable")[:, :k]
-    votes = np.zeros((test.n_rows, len(classes)), dtype=int)
-    np.add.at(votes, (np.arange(test.n_rows)[:, None], train_cols[near]), 1)
-    pred = tuple(classes[i] for i in np.argmax(votes, axis=1))
-    return PredictionResult(pred, votes, classes)
+    return _vote(train_cols[near], classes)
 
 
 def accuracy(pred, truth):
@@ -402,5 +404,6 @@ def accuracy(pred, truth):
     if len(pred.labels) != len(truth):
         raise LengthMismatch(
             "%d predictions vs %d truth labels" % (len(pred.labels), len(truth)))
-    hits = sum(1 for a, b in zip(pred.labels, truth) if a == b)
-    return hits / len(truth)
+    if not truth:
+        raise InvariantViolation("accuracy of an empty prediction is undefined")
+    return sum(a == b for a, b in zip(pred.labels, truth)) / len(truth)

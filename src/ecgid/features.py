@@ -100,6 +100,8 @@ class FeatureMatrix:
 def take_rows(m, index):
     """Row-subset preserving labels and layout."""
     index = np.asarray(index)
+    if not index.size:
+        raise InvariantViolation("no row index to take")
     return FeatureMatrix(
         m.values[index],
         tuple(m.subject_ids[i] for i in index),

@@ -231,6 +231,9 @@ def select_features(aux, lam, top_n):
     """
     w1, w2 = _weight_vectors(aux)
     w = lam * w1 - (1.0 - lam) * w2
+    if not np.isfinite([w1, w2]).all():
+        raise InvariantViolation("selection weights are not finite: the "
+                                 "feature values are too large to score")
     selected = tuple(int(i) for i in rank_descending(w)[:top_n])
     return SelectionWeights(w, w1, w2, lam, selected, top_n)
 

@@ -15,6 +15,7 @@ import ecgid.bench as bench
 from ecgid.bench import (
     CLASSIFIERS,
     REDUCTIONS,
+    REPORT_COLUMNS,
     STAGES,
     ExperimentReport,
     PipelineConfig,
@@ -26,12 +27,15 @@ from ecgid.bench import (
     parse_config,
     parse_report_csv,
     render_report,
+    render_rows,
     run_pipeline,
     split_protocol,
     state_fingerprint,
+    subject_majority_accuracy,
     sweep_top_n,
     _split_indices,
 )
+from ecgid.classify import PredictionResult
 from ecgid.cli import cli_main
 from ecgid.errors import (
     EcgidError,
@@ -571,6 +575,14 @@ def test_render_report_validations():
         render_report([], "csv")
     with pytest.raises(InvariantViolation):
         render_report([fake_report()], "html")
+    with pytest.raises(InvariantViolation, match="csv or markdown"):
+        render_rows([tuple("x" for _ in REPORT_COLUMNS)], "html")
+
+
+def test_subject_majority_accuracy_of_an_empty_prediction_is_a_typed_error():
+    empty = PredictionResult((), np.zeros((0, 2), dtype=int), ("a", "b"))
+    with pytest.raises(InvariantViolation, match="no predictions"):
+        subject_majority_accuracy(empty, ())
 
 
 def test_report_invariants():

@@ -376,3 +376,6 @@ def test_accuracy_counting():
     assert accuracy(pred, flipped) == 0.0
     with pytest.raises(LengthMismatch):
         accuracy(pred, truth[:5])
+    empty = PredictionResult((), np.zeros((0, 2), dtype=int), ("a", "b"))
+    with pytest.raises(InvariantViolation, match="empty prediction"):
+        accuracy(empty, ())

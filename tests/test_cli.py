@@ -5,6 +5,7 @@ import dataclasses
 import io
 import os
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -96,6 +97,26 @@ def test_featurize_and_select(gen_dir, tmp_path):
     assert head == "lambda=0.3,top_n=10"
     assert len(rows) == 80
     assert sum(row.endswith(",1") for row in rows) == 10
+
+
+def test_select_on_feature_values_too_large_to_score_exits_2(tmp_path, capsys):
+    feats = tmp_path / "huge.csv"
+    lines = ["layout=toy2,dim=2"]
+    for i, (sid, cond) in enumerate(
+            (s, c) for s in ("s1", "s2") for c in ("rest", "post_exercise")
+            for _ in range(3)):
+        sign = 1 if i % 2 else -1
+        lines.append("%s,%s,%r,%r" % (sid, cond, sign * 1e200 * (1 + i),
+                                      -sign * 1e200))
+    feats.write_text("\n".join(lines) + "\n")
+    weights = tmp_path / "weights.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli_main(["select", "--features", str(feats), "--lam", "0.3",
+                         "--top-n", "1", "--out", str(weights)])
+    assert code == 2
+    assert "not finite: the feature values are too large" in \
+        capsys.readouterr().err
+    assert not weights.exists()
 
 
 def test_run_writes_report(gen_dir, tmp_path):

@@ -352,6 +352,8 @@ def test_take_rows_and_concat():
     sub = take_rows(m, [2, 0])
     assert sub.subject_ids == ("c", "a")
     assert np.array_equal(sub.values, vals[[2, 0]])
+    with pytest.raises(InvariantViolation, match="no row index"):
+        take_rows(m, [])
     both = concat_matrices([sub, sub])
     assert both.n_rows == 4
     with pytest.raises(DimensionMismatch):

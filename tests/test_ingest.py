@@ -11,7 +11,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from synth_oracle import reference_synthesize_record
 
+import ecgid.ingest as ingest
 from ecgid.errors import (
     EcgidError,
     InvariantViolation,
@@ -86,6 +88,17 @@ def test_params_invariants_enforced():
         dataclasses.replace(p, waves=weak)
     with pytest.raises(InvariantViolation):
         dataclasses.replace(p, ex_hr_bpm=50.0)  # below rest HR
+    # a zero or negative beat period would never end the beat grid
+    for rates in ({"ex_hr_bpm": math.inf}, {"rest_hr_bpm": -70.0},
+                  {"rest_hr_bpm": 0.0}):
+        with pytest.raises(InvariantViolation, match="heart rates"):
+            dataclasses.replace(p, **rates)
+    for field, value in (("width_frac", math.nan), ("width_frac", math.inf),
+                         ("center_frac", -math.inf)):
+        waves = dict(p.waves, P=dataclasses.replace(p.waves["P"],
+                                                    **{field: value}))
+        with pytest.raises(InvariantViolation, match="must be finite"):
+            dataclasses.replace(p, waves=waves)
 
 
 # ===== beat grid ==========================================================
@@ -125,9 +138,54 @@ def test_noise_off_baseline_is_flat_between_beats():
     assert np.all(np.abs(rec.samples[probe]) < 1e-3)
 
 
+def clean_params_with(**waves):
+    """clean_params with some waves' fields replaced, e.g. P={"width_frac": 0}."""
+    p = clean_params()
+    return dataclasses.replace(p, waves={
+        name: dataclasses.replace(w, **waves.get(name, {}))
+        for name, w in p.waves.items()})
+
+
+ORACLE_CASES = [
+    pytest.param(generate_subject_params(sid, seed), cond, dur, noise,
+                 id="seed%d-%s-%gs-noise_%s" % (seed, cond, dur, noise))
+    # each of these subjects has a wave width whose square in libm's pow
+    # differs in the last bit from numpy's x * x
+    for seed, sid in ((8, "s08"), (42, "s12"))
+    for cond, dur in (("rest", 120.0), ("post_exercise", 90.0),
+                      ("rest", 2.0), ("post_exercise", 2.0))
+    for noise in (True, False)
+] + [
+    pytest.param(params, cond, dur, False, id="%s-%s-%gs" % (name, cond, dur))
+    for name, params in (
+        ("zero_amp_P", clean_params_with(P={"amplitude_mv": 0.0})),
+        ("zero_width_T", clean_params_with(T={"width_frac": 0.0})),
+        # spans cut by the record's first and last samples
+        ("wide_P_T", clean_params_with(P={"width_frac": 0.15},
+                                       T={"width_frac": 0.25})),
+        # the first P ends before sample 0
+        ("early_P", clean_params_with(P={"center_frac": -0.7,
+                                         "width_frac": 0.01})),
+    )
+    for cond, dur in (("rest", 2.0), ("post_exercise", 10.0))
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("params,condition,duration_s,noise_on", ORACLE_CASES)
+def test_synthesis_matches_the_per_wave_loop_byte_for_byte(
+        params, condition, duration_s, noise_on):
+    rec, truth = synthesize_record(params, condition, duration_s, noise_on, 17)
+    ref, ref_truth = reference_synthesize_record(params, condition,
+                                                 duration_s, noise_on, 17)
+    assert rec.samples.tobytes() == ref.samples.tobytes()
+    assert truth.dtype == ref_truth.dtype
+    assert truth.tolist() == ref_truth.tolist()
+
+
 # ===== exercise geometry ==================================================
 
-def test_exercise_amplitude_factors_exact():
+def test_exercise_amplitude_factors_exact(monkeypatch):
     p = clean_params()
     waves = dict(p.waves)
     waves["P"] = dataclasses.replace(waves["P"],
@@ -136,8 +194,9 @@ def test_exercise_amplitude_factors_exact():
                                      amplitude_mv=waves["T"].amplitude_mv * 0.6)
     pre_scaled = dataclasses.replace(p, waves=waves)
     rec_a, _ = synthesize_record(p, "post_exercise", 10.0, False, 9)
-    rec_b, _ = synthesize_record(pre_scaled, "post_exercise", 10.0, False, 9,
-                                 p_factor=1.0, t_factor=1.0)
+    monkeypatch.setattr(ingest, "EX_P_FACTOR", 1.0)
+    monkeypatch.setattr(ingest, "EX_T_FACTOR", 1.0)
+    rec_b, _ = synthesize_record(pre_scaled, "post_exercise", 10.0, False, 9)
     assert np.allclose(rec_a.samples, rec_b.samples, rtol=0, atol=1e-12)
 
 
@@ -191,6 +250,8 @@ def test_record_validation_errors(tmp_path):
         EcgRecord("s", "nap", FS, np.zeros(1000))
     with pytest.raises(InvariantViolation):
         EcgRecord("s", "rest", 60.0, np.zeros(1000))  # under Nyquist bound
+    with pytest.raises(InvariantViolation, match="must be finite"):
+        EcgRecord("s", "rest", float("inf"), np.zeros(1000))
 
 
 def test_load_record_error_paths(tmp_path):

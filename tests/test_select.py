@@ -181,10 +181,24 @@ def test_select_validates_lambda_and_top_n():
         select_features(aux, -0.1, top_n=1)
     with pytest.raises(InvariantViolation):
         select_features(aux, 1.1, top_n=1)
+    with pytest.raises(InvariantViolation, match="lambda"):
+        select_features(aux, float("nan"), top_n=1)
     with pytest.raises(InvariantViolation):
         select_features(aux, 0.3, top_n=0)
     with pytest.raises(InvariantViolation):
         select_features(aux, 0.3, top_n=aux.dim + 1)
+
+
+def test_select_rejects_feature_values_too_large_to_score():
+    aux = make_aux(seed=3, subject_shift=1.0)
+
+    def scaled(factor):
+        return toy_matrix(aux.values * factor, aux.subject_ids, aux.conditions)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert select_features(scaled(1e150), 0.3, top_n=2).selected == (0, 2)
+        with pytest.raises(InvariantViolation, match="not finite.*too large"):
+            select_features(scaled(1e200), 0.3, top_n=2)
 
 
 def test_selection_weights_invariants():
