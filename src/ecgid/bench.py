@@ -24,6 +24,7 @@ from .errors import (
     EcgidError,
     EmptyCohort,
     InvariantViolation,
+    LengthMismatch,
     MalformedFile,
     StageFailure,
 )
@@ -493,6 +494,10 @@ def _confusion(pred, truth):
 def subject_majority_accuracy(pred, truth):
     """Fraction of subjects whose modal predicted label is their own;
     modal ties break to the ascending label."""
+    truth = tuple(truth)
+    if len(pred.labels) != len(truth):
+        raise LengthMismatch(
+            "%d predictions vs %d truth labels" % (len(pred.labels), len(truth)))
     per = {}
     for p, t in zip(pred.labels, truth):
         per.setdefault(t, []).append(p)

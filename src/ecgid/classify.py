@@ -22,7 +22,7 @@ from .errors import (
 
 ALPHA_EPS = 1e-12
 TAU = 1e-12  # floor on the pair curvature a, as in LIBSVM
-BLOCK_ROWS = 256  # rows per block of the kernel's row-norm and mirror steps
+BLOCK_ROWS = 256  # rows per block of the kernel's norm, exp and mirror steps
 
 
 # ===== kernel =============================================================
@@ -53,24 +53,34 @@ def squared_distances(a, b):
     return d2
 
 
-def rbf_kernel(a, b, gamma):
-    """exp(-gamma * ||x - y||^2) between the rows of a and b."""
-    k = squared_distances(a, b)
-    k *= -gamma
-    return np.exp(k, out=k)
+def _rbf_in_place(ab, na, nb, gamma, scratch):
+    """exp(-gamma * max(na_i + nb_j - 2 ab_ij, 0)) into ab, the dot
+    products of rows with squared norms na and nb: squared_distances'
+    steps in its order, so the bits match. scratch, of ab's shape, is
+    overwritten."""
+    ab *= 2.0
+    np.subtract(np.add(na[:, None], nb, out=scratch), ab, out=ab)
+    np.maximum(ab, 0.0, out=ab)
+    ab *= -gamma
+    np.exp(ab, out=ab)
 
 
 def rbf_gram(x, gamma):
     """Symmetric train Gram: K[i,j] == K[j,i] and K[i,i] == 1 exactly.
 
-    The strict upper triangle is copied onto the lower one block of rows
-    at a time.
+    Only the upper triangle of x @ x.T becomes kernel values, a block of
+    rows at a time; its strict part is copied onto the lower one.
     """
-    k = rbf_kernel(x, x, gamma)
-    for r in range(0, k.shape[0], BLOCK_ROWS):
-        blk = k[r:r + BLOCK_ROWS, r:r + BLOCK_ROWS]
+    x = np.asarray(x, float)
+    norms = _row_norms(x)  # first: for wide rows its temporary outweighs k
+    k = x @ x.T
+    scratch = np.empty((min(len(k), BLOCK_ROWS), len(k)))
+    for r in range(0, len(k), BLOCK_ROWS):
+        blk = k[r:r + BLOCK_ROWS, r:]
+        _rbf_in_place(blk, norms[r:r + BLOCK_ROWS], norms[r:], gamma,
+                      scratch[:len(blk), r:])
         k[r:r + BLOCK_ROWS, :r] = k[:r, r:r + BLOCK_ROWS].T
-        low = np.tril_indices(blk.shape[0], -1)
+        low = np.tril_indices(len(blk), -1)  # inside the diagonal block
         blk[low] = blk.T[low]
     np.fill_diagonal(k, 1.0)
     return k
@@ -344,12 +354,27 @@ def svm_train(m, c=100.0, gamma=1.0, tol=1e-3, max_epochs=200):
 
 def svm_decision_values(model, values):
     """Per-pair decision values f(x) for each row; columns follow
-    model.pairs order. One kernel evaluation against the shared support
-    matrix serves every pair."""
-    k = rbf_kernel(values, model.sv_matrix, model.gamma)
-    out = np.zeros((values.shape[0], len(model.pairs)))
+    model.pairs order. Kernel values are made only against rows that are
+    some pair's support vector, one such row per line of kt. For the bits
+    of a whole-kernel evaluation, the product stays whole and each pair
+    reads its lines of kt as a column-major array, as a column gather of
+    that kernel gives."""
+    values = np.asarray(values, float)
+    used = np.unique(np.concatenate([p.sv_idx for p in model.pairs]))
+    na, nb = _row_norms(values), _row_norms(model.sv_matrix)[used]
+    ab = values @ model.sv_matrix.T
+    kt = np.empty((used.size, len(values)))
+    for r in range(0, len(values), BLOCK_ROWS):
+        rows = slice(r, r + BLOCK_ROWS)
+        # no gathered copy when every row is used; kt[:, rows] is scratch
+        blk = ab[rows] if used.size == ab.shape[1] else ab[rows][:, used]
+        _rbf_in_place(blk, na[rows], nb, model.gamma, kt[:, rows].T)
+        kt[:, rows], blk = blk.T, None  # one gathered block at a time
+    ab = None  # free the product before the pairs gather from kt
+    out = np.empty((len(values), len(model.pairs)))
     for col, pair in enumerate(model.pairs):
-        out[:, col] = k[:, pair.sv_idx] @ pair.coef + pair.bias
+        out[:, col] = (kt[np.searchsorted(used, pair.sv_idx)].T @ pair.coef
+                       + pair.bias)
     return out
 
 

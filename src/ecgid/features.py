@@ -102,6 +102,13 @@ def take_rows(m, index):
     index = np.asarray(index)
     if not index.size:
         raise InvariantViolation("no row index to take")
+    if index.dtype.kind not in "iu":
+        raise InvariantViolation(
+            "row index %r is not an integer" % index.ravel()[0].item())
+    out = (index < -m.n_rows) | (index >= m.n_rows)
+    if out.any():
+        raise InvariantViolation(
+            "row index %d is outside %d rows" % (index[out][0], m.n_rows))
     return FeatureMatrix(
         m.values[index],
         tuple(m.subject_ids[i] for i in index),

@@ -30,6 +30,7 @@ EX_T_FACTOR = 0.6
 
 WAVE_ORDER = ("P", "Q", "R", "S", "T")
 FS_HZ = 300.0  # sampling rate of every synthetic record
+JITTER_CLIP = 2.5  # beat-period jitter draws are clipped to +-this many sd
 
 
 @dataclass(frozen=True)
@@ -97,8 +98,10 @@ class GeneratorParams:
             raise InvariantViolation("R amplitude must dominate every other wave")
         if not 0 < self.rest_hr_bpm < self.ex_hr_bpm < np.inf:
             raise InvariantViolation("heart rates must satisfy 0 < rest < exercise < inf")
-        if self.hr_jitter_frac < 0:
-            raise InvariantViolation("jitter fraction must be >= 0")
+        if not 0 <= self.hr_jitter_frac * JITTER_CLIP < 1:
+            raise InvariantViolation(
+                "jitter fraction must satisfy 0 <= hr_jitter_frac * %g < 1, "
+                "or a beat period can be zero or negative" % JITTER_CLIP)
 
 
 def derive_seed(*parts):
@@ -180,8 +183,8 @@ def synthesize_record(params, condition, duration_s, noise_on, rng_seed):
     t_r = 0.5
     while t_r < duration_s - 0.5:
         r_times.append(t_r)
-        period = base_period * (1.0 + params.hr_jitter_frac *
-                                float(np.clip(rng.standard_normal(), -2.5, 2.5)))
+        draw = float(np.clip(rng.standard_normal(), -JITTER_CLIP, JITTER_CLIP))
+        period = base_period * (1.0 + params.hr_jitter_frac * draw)
         periods.append(period)
         t_r += period
     r_times, periods = np.array(r_times), np.array(periods)

@@ -1,10 +1,12 @@
-"""Reference RBF kernel for ecgid.classify.
+"""Reference RBF kernel and SVM decision values for ecgid.classify.
 
 These are the one-expression forms of `squared_distances`, `rbf_kernel`
 and `rbf_gram`: full-size row-norm temporaries, an out-of-place exponent,
-and a Gram mirrored through `np.triu_indices`. The library computes the
-same expressions in place and in blocks of rows, and must give identical
-arrays.
+and a Gram exponentiated whole and mirrored through `np.triu_indices`.
+`svm_decision_values` makes the whole test x train kernel and gathers
+each pair's support columns from it. The library computes the same
+expressions in place, in blocks of rows and only where they are read, and
+must give identical arrays.
 """
 
 import numpy as np
@@ -28,3 +30,11 @@ def rbf_gram(x, gamma):
     k[(iu[1], iu[0])] = k[iu]
     np.fill_diagonal(k, 1.0)
     return k
+
+
+def svm_decision_values(model, values):
+    k = rbf_kernel(values, model.sv_matrix, model.gamma)
+    out = np.zeros((values.shape[0], len(model.pairs)))
+    for col, pair in enumerate(model.pairs):
+        out[:, col] = k[:, pair.sv_idx] @ pair.coef + pair.bias
+    return out

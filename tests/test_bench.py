@@ -42,6 +42,7 @@ from ecgid.errors import (
     EmptyCohort,
     InvariantViolation,
     IoFailure,
+    LengthMismatch,
     MalformedFile,
     NoBeatsFound,
     StageFailure,
@@ -583,6 +584,13 @@ def test_subject_majority_accuracy_of_an_empty_prediction_is_a_typed_error():
     empty = PredictionResult((), np.zeros((0, 2), dtype=int), ("a", "b"))
     with pytest.raises(InvariantViolation, match="no predictions"):
         subject_majority_accuracy(empty, ())
+
+
+def test_subject_majority_accuracy_rejects_mismatched_lengths():
+    pred = PredictionResult(("a", "b"), np.ones((2, 2), dtype=int),
+                            ("a", "b"))
+    with pytest.raises(LengthMismatch, match="2 predictions vs 4 truth"):
+        subject_majority_accuracy(pred, ("a", "b", "b", "a"))
 
 
 def test_report_invariants():

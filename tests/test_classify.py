@@ -1,9 +1,12 @@
 """Tests for the SMO-trained one-vs-one SVM and the kNN baseline."""
 
+from unittest import mock
+
 import kernel_oracle
 import numpy as np
 import pytest
 
+from ecgid import classify
 from ecgid.errors import (
     DegenerateClass,
     DimensionMismatch,
@@ -13,11 +16,12 @@ from ecgid.errors import (
 from ecgid.features import FeatureMatrix
 from ecgid.classify import (
     ALPHA_EPS,
+    PairModel,
     PredictionResult,
+    SvmModel,
     accuracy,
     knn_predict,
     rbf_gram,
-    rbf_kernel,
     _smo_batch,
     smo_solve,
     squared_distances,
@@ -58,11 +62,18 @@ def test_kernel_matches_direct_formula():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(5, 3))
     b = rng.normal(size=(4, 3))
-    k = rbf_kernel(a, b, gamma=0.7)
+    # pair j reads K(., b_j) alone, so its decision values are that column
+    pairs = tuple(PairModel("a", "b", np.array([j]), np.array([1.0]), 0.0,
+                            True, 0.0) for j in range(4))
+    k = svm_decision_values(SvmModel(("a", "b"), 1.0, 0.7, b, pairs), a)
+    gram = rbf_gram(a, gamma=0.7)
     for i in range(5):
         for j in range(4):
             expect = np.exp(-0.7 * np.sum((a[i] - b[j]) ** 2))
             assert abs(k[i, j] - expect) < 1e-12
+        for j in range(5):
+            expect = np.exp(-0.7 * np.sum((a[i] - a[j]) ** 2))
+            assert abs(gram[i, j] - expect) < 1e-12
 
 
 def test_gram_symmetric_and_unit_diagonal():
@@ -95,10 +106,56 @@ def test_kernel_is_bit_identical_to_reference(width):
         assert np.array_equal(squared_distances(a, b),
                               kernel_oracle.squared_distances(a, b))
         for gamma in (1.0, 1.0 / width):
-            assert np.array_equal(rbf_kernel(a, b, gamma),
-                                  kernel_oracle.rbf_kernel(a, b, gamma))
             assert np.array_equal(rbf_gram(a, gamma),
                                   kernel_oracle.rbf_gram(a, gamma))
+
+
+def decision_problem(width, kind):
+    """320 training rows in 4 classes, and 513 test rows of which every
+    129th repeats a training row. "mixed": clustered classes, so some rows
+    are no pair's support vector and others serve several pairs;
+    "all_support": random labels, so every row is a support vector;
+    "no_support": tol=2.5 stops every pair at alpha = 0."""
+    rng = np.random.default_rng(width)
+    n_per = 80
+    if kind == "all_support":
+        x = rng.normal(size=(4 * n_per, width))
+        labels = ["abcd"[i % 4] for i in range(4 * n_per)]
+    else:
+        centers = rng.normal(size=(4, width))
+        x = np.repeat(centers, n_per, axis=0) \
+            + 0.5 * rng.normal(size=(4 * n_per, width))
+        labels = [lab for lab in "abcd" for _ in range(n_per)]
+    values = x[rng.integers(0, x.shape[0], 513)] \
+        + 0.5 * rng.normal(size=(513, width))
+    values[::129] = x[:4]
+    tol = 2.5 if kind == "no_support" else 1e-3
+    return toy_matrix(x, labels), values, tol
+
+
+@pytest.mark.parametrize("kind", ["mixed", "all_support", "no_support"])
+@pytest.mark.parametrize("width", [1, 30, 10252])
+def test_decision_values_are_bit_identical_to_the_full_kernel(width, kind):
+    m, values, tol = decision_problem(width, kind)
+    model = svm_train(m, c=1.0, gamma=1.0 / width, tol=tol)
+    # the reference trains on the whole Gram, made and mirrored at once
+    with mock.patch.object(classify, "rbf_gram", kernel_oracle.rbf_gram):
+        ref = svm_train(m, c=1.0, gamma=1.0 / width, tol=tol)
+    uses = np.bincount(np.concatenate([p.sv_idx for p in model.pairs]),
+                       minlength=m.n_rows)
+    if kind == "mixed":
+        assert uses.min() == 0 and uses.max() > 1
+    elif kind == "all_support":
+        assert uses.min() > 0
+    else:
+        assert uses.max() == 0
+    for n in BLOCK_EDGE_ROWS:
+        got = svm_decision_values(model, values[:n])
+        assert np.array_equal(
+            got, kernel_oracle.svm_decision_values(ref, values[:n]))
+    if kind == "no_support":
+        assert np.array_equal(got, np.broadcast_to(
+            [p.bias for p in model.pairs], got.shape))
 
 # ===== SMO ================================================================
 

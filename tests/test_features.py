@@ -354,6 +354,13 @@ def test_take_rows_and_concat():
     assert np.array_equal(sub.values, vals[[2, 0]])
     with pytest.raises(InvariantViolation, match="no row index"):
         take_rows(m, [])
+    with pytest.raises(InvariantViolation, match="row index 5 is outside 4"):
+        take_rows(m, [0, 5, 1])
+    with pytest.raises(InvariantViolation, match="row index -5 is outside"):
+        take_rows(m, [-5])
+    with pytest.raises(InvariantViolation, match="row index 0.5 is not an int"):
+        take_rows(m, [0.5])
+    assert take_rows(m, [-1]).subject_ids == ("d",)
     both = concat_matrices([sub, sub])
     assert both.n_rows == 4
     with pytest.raises(DimensionMismatch):

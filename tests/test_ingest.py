@@ -99,6 +99,11 @@ def test_params_invariants_enforced():
                                                     **{field: value}))
         with pytest.raises(InvariantViolation, match="must be finite"):
             dataclasses.replace(p, waves=waves)
+    # jitter draws are clipped to +-2.5 sd, so at 0.4 a period can reach 0
+    for jitter in (-0.01, 0.4, 1.0, math.nan):
+        with pytest.raises(InvariantViolation, match="jitter fraction"):
+            dataclasses.replace(p, hr_jitter_frac=jitter)
+    dataclasses.replace(p, hr_jitter_frac=0.39)
 
 
 # ===== beat grid ==========================================================
