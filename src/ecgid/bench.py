@@ -27,6 +27,7 @@ from .errors import (
     LengthMismatch,
     MalformedFile,
     StageFailure,
+    TooFewSubjects,
 )
 from .ingest import EcgRecord, derive_seed, load_manifest, load_record
 
@@ -206,7 +207,15 @@ def _conditions(protocol):
 
 
 def split_protocol(m, protocol):
-    """Per-subject chronological train/test split.
+    """Train/test split of m's rows; _split_records states the rules."""
+    key = np.array(list(zip(m.subject_ids, m.conditions)))
+    return _split_records([
+        _features.take_rows(m, np.flatnonzero((key == k).all(axis=1)))
+        for k in sorted(set(zip(m.subject_ids, m.conditions)))], protocol)
+
+
+def _split_records(parts, protocol):
+    """Per-subject chronological train/test split of one matrix per record.
 
     rest_rest: first 70% of rest rows train, last 30% test.
     ex_first70: same over post-exercise rows.
@@ -215,27 +224,23 @@ def split_protocol(m, protocol):
     Subjects with < 10 train or < 3 test rows are dropped (counted).
     """
     conds = _conditions(protocol)
-    sid = np.array(m.subject_ids)
-    cond = np.array(m.conditions)
-    train_idx, test_idx, dropped = [], [], []
-    for s in sorted(set(m.subject_ids)):
-        rows = [np.flatnonzero((sid == s) & (cond == c)) for c in conds]
-        if len(rows) == 2:  # one whole condition trains, the other tests
-            tr, te = rows
-        else:
-            tr_local, te_local = _split_indices(rows[0].size, protocol)
-            tr, te = rows[0][tr_local], rows[0][te_local]
-        if tr.size < MIN_TRAIN_ROWS or te.size < MIN_TEST_ROWS:
+    records = {(p.subject_ids[0], p.conditions[0]): p for p in parts}
+    kept, dropped = [], []
+    for s in sorted({s for s, _ in records}):
+        rec = [records.get((s, c)) for c in conds]
+        if len(rec) == 1 and rec[0] is not None:  # one record, cut in time
+            rec = [_features.take_rows(rec[0], i) if i.size else None
+                   for i in _split_indices(rec[0].n_rows, protocol)]
+        if None in rec or rec[0].n_rows < MIN_TRAIN_ROWS \
+                or rec[1].n_rows < MIN_TEST_ROWS:
             dropped.append(s)
             continue
-        train_idx.append(tr)
-        test_idx.append(te)
-    if not train_idx:
+        kept.append(rec)
+    if not kept:
         raise EmptyCohort("no subject kept %d train / %d test rows under %s"
                           % (MIN_TRAIN_ROWS, MIN_TEST_ROWS, protocol))
-    train = _features.take_rows(m, np.concatenate(train_idx))
-    test = _features.take_rows(m, np.concatenate(test_idx))
-    return SplitResult(train, test, len(train_idx), tuple(dropped))
+    train, test = (_features.concat_matrices(side) for side in zip(*kept))
+    return SplitResult(train, test, len(kept), tuple(dropped))
 
 
 # ===== cohort featurization (cached) ======================================
@@ -405,8 +410,8 @@ def _classify_rows(state, m):
 
 
 def predict_with_state(state, m):
-    """Apply the fitted z-score and PCA stages (selection is applied at the
-    cohort level before splitting), then classify."""
+    """Apply the fitted z-score and PCA stages (selection is applied per
+    record before splitting), then classify."""
     if state.zscore is not None:
         m = _features.zscore_apply(state.zscore, m)
     if state.pca is not None:
@@ -508,44 +513,41 @@ def subject_majority_accuracy(pred, truth):
 
 
 def _run_top_ns(manifest_path, config, protocol, seed, top_ns, cache):
-    """One report per top_n in `top_ns`. Featurizing, the aux/eval split and
-    the selection weights happen once, and only the evaluation rows outlive
-    them; each top_n keeps a prefix of the one ranking of the weights.
+    """One report per top_n in `top_ns`. Each record is featurized once, and
+    the selection weights are fitted once on the stacked auxiliary records;
+    each top_n keeps a prefix of the one ranking of the weights.
 
-    A step's input rows die once its output rows exist: the stacked cohort
-    once the split (for fused_kl, the aux and eval rows) holds them, and
-    the z-scored or projected training rows once they are classified."""
+    No step stacks the whole cohort: the split stacks each kept record's
+    rows (for fused_kl, its selected columns) into train and test, and the
+    z-scored or projected training rows die once they are classified."""
     if not top_ns:
         return []
     cache = {} if cache is None else cache
     path = os.path.abspath(manifest_path)
-    matrix, skipped = cohort_matrix(path, config, protocol, seed, cache)
+    man = _manifest(cache, path)
+    aux_sids = aux_eval_split(man.subject_ids, seed)[0]
+    if config.stage == "fused_kl" and len(aux_sids) < 2:
+        raise TooFewSubjects("selection needs >= 2 auxiliary subjects")
+    parts = [_record_stage_matrix(cache, path, sid, cond, config)
+             for sid, cond in _required_entries(man, protocol, config, seed)]
+    skipped = sum(p.skipped for p in parts)
+    selections = [None] * len(top_ns)
     if config.stage == "fused_kl":
-        man = _manifest(cache, path)
-        aux_sids, eval_sids = aux_eval_split(man.subject_ids, seed)
-        sid = np.array(matrix.subject_ids)
-        aux = _features.take_rows(matrix,
-                                  np.flatnonzero(np.isin(sid, aux_sids)))
-        matrix = _features.take_rows(matrix,
-                                     np.flatnonzero(np.isin(sid, eval_sids)))
-        full = _select.select_features(aux, config.lam, max(top_ns))
-        del aux
+        full = _select.select_features(_features.concat_matrices(
+            [p for p in parts if p.subject_ids[0] in aux_sids]),
+            config.lam, max(top_ns))
         selections = [replace(full, selected=full.selected[:n], top_n=n)
                       for n in top_ns]
-        matrices = [_select.apply_selection(s, matrix) for s in selections]
-    else:
-        selections = [None] * len(top_ns)
-        matrices = [matrix] * len(top_ns)
-    del matrix
+        parts = [p for p in parts if p.subject_ids[0] not in aux_sids]
     reports = []
     for top_n, selection in zip(top_ns, selections):
         cfg = replace(config, top_n=top_n)
-        split = split_protocol(matrices.pop(0), protocol)
+        split = _split_records(parts if selection is None else [
+            _select.apply_selection(selection, p) for p in parts], protocol)
         state, fit_rows = _fit(split.train, cfg, selection)
         train_pred = _classify_rows(state, fit_rows)
         del fit_rows
         test_pred = predict_with_state(state, split.test)
-        converged = state.svm.all_converged if state.svm is not None else True
         reports.append(ExperimentReport(
             pipeline=cfg.pipeline_id,
             protocol=protocol,
@@ -559,7 +561,7 @@ def _run_top_ns(manifest_path, config, protocol, seed, top_ns, cache):
             test_beats=split.test.n_rows,
             skipped_beats=skipped,
             dropped_subjects=split.dropped_subjects,
-            converged=converged,
+            converged=state.svm is None or state.svm.all_converged,
             seed=seed,
             confusion=_confusion(test_pred, split.test.subject_ids),
             state_fingerprint=state_fingerprint(state),

@@ -246,8 +246,9 @@ def apply_selection(weights, m):
         )
     idx = np.array(weights.selected, dtype=int)
     layout = "%s>kl%d" % (m.layout_id, idx.size)
-    return FeatureMatrix(m.values[:, idx], m.subject_ids, m.conditions,
-                         layout, m.skipped)
+    # a C-ordered copy, unlike m.values[:, idx]: z-score sums depend on it
+    return FeatureMatrix(np.take(m.values, idx, axis=1), m.subject_ids,
+                         m.conditions, layout, m.skipped)
 
 
 # ===== persistence ========================================================

@@ -12,12 +12,14 @@ from hypothesis import strategies as st
 
 from conftest import write_cohort
 import ecgid.bench as bench
+import split_oracle
 from ecgid.bench import (
     CLASSIFIERS,
     REDUCTIONS,
     REPORT_COLUMNS,
     STAGES,
     ExperimentReport,
+    PROTOCOLS,
     PipelineConfig,
     aux_eval_split,
     cohort_matrix,
@@ -47,8 +49,9 @@ from ecgid.errors import (
     NoBeatsFound,
     StageFailure,
 )
-from ecgid.features import FeatureMatrix
+from ecgid.features import FeatureMatrix, concat_matrices
 from ecgid.ingest import EcgRecord, save_record
+from ecgid.select import apply_selection, select_features
 
 
 @pytest.fixture(scope="module")
@@ -239,6 +242,69 @@ def test_split_unknown_protocol():
     m = toy_matrix([("s00", "rest", 30)])
     with pytest.raises(InvariantViolation):
         split_protocol(m, "kfold")
+
+
+# (subject, condition, rows): s01's 8 rest rows cut to 5 train rows, s02
+# has no post-exercise record, and s03's 1 post-exercise row cuts to no
+# train rows (and too few test rows under rest_ex)
+ORACLE_RECORDS = [("s00", "rest", 30), ("s00", "post_exercise", 25),
+                  ("s01", "rest", 8), ("s01", "post_exercise", 30),
+                  ("s02", "rest", 20),
+                  ("s03", "rest", 15), ("s03", "post_exercise", 1)]
+
+
+def _oracle_records():
+    """(cohort with the records' rows interleaved, one matrix per record
+    in sorted (subject, condition) order)."""
+    rng = np.random.default_rng(3)
+    blocks = {(s, c): rng.normal(size=(n, 6)) for s, c, n in ORACLE_RECORDS}
+    # row i of every record, then row i + 1: each record stays chronological
+    rows = sorted(((i, k) for k, b in blocks.items() for i in range(len(b))),
+                  key=lambda r: r[0])
+    cohort = FeatureMatrix(np.array([blocks[k][i] for i, k in rows]),
+                           [k[0] for _, k in rows], [k[1] for _, k in rows],
+                           "toy")
+    parts = [FeatureMatrix(blocks[k], [k[0]] * len(blocks[k]),
+                           [k[1]] * len(blocks[k]), "toy")
+             for k in sorted(blocks)]
+    return cohort, parts
+
+
+def _assert_same_split(got, want):
+    for side in ("train", "test"):
+        g, w = getattr(got, side), getattr(want, side)
+        assert np.array_equal(g.values, w.values), side
+        assert g.values.flags.c_contiguous, side
+        assert (g.subject_ids, g.conditions) == (w.subject_ids, w.conditions)
+    assert got.dropped_subjects == want.dropped_subjects
+    assert got.n_subjects == want.n_subjects
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_split_matches_mask_oracle(protocol):
+    cohort, parts = _oracle_records()
+    want = split_oracle.split_protocol(cohort, protocol)
+    assert want.dropped_subjects  # every protocol drops someone here
+    _assert_same_split(split_protocol(cohort, protocol), want)
+    _assert_same_split(bench._split_records(parts, protocol), want)
+    # a run selects columns per record before splitting; the gate selects
+    # them on the stacked cohort
+    aux = concat_matrices([p for p in parts if p.subject_ids[0] < "s02"])
+    weights = select_features(aux, 0.3, 4)
+    _assert_same_split(
+        bench._split_records([apply_selection(weights, p) for p in parts],
+                             protocol),
+        split_oracle.split_protocol(apply_selection(weights, cohort),
+                                    protocol))
+
+
+def test_apply_selection_returns_c_contiguous_rows():
+    _, parts = _oracle_records()
+    weights = select_features(concat_matrices(parts[:4]), 0.3, 4)
+    out = apply_selection(weights, parts[0])
+    assert out.values.flags.c_contiguous
+    assert np.array_equal(out.values,
+                          parts[0].values[:, list(weights.selected)])
 
 
 def test_aux_eval_split_partitions():
@@ -449,7 +515,7 @@ def test_fused_kl_run_and_sweep(fused_manifest, capsys):
 
 
 def test_sweep_featurizes_and_selects_once(fused_manifest, monkeypatch):
-    calls = {"cohort_matrix": 0, "select_features": 0, "svm_train": 0}
+    calls = {"fused_features": 0, "select_features": 0, "svm_train": 0}
 
     def counting(module, name):
         original = getattr(module, name)
@@ -459,16 +525,21 @@ def test_sweep_featurizes_and_selects_once(fused_manifest, monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    counting(bench, "cohort_matrix")
+    counting(bench._features, "fused_features")
     counting(bench._select, "select_features")
     counting(bench._classify, "svm_train")
     cfg = PipelineConfig(stage="fused_kl", normalize=True,
                          max_beats_per_subject=15)
     assert sweep_top_n(fused_manifest, cfg, "rest_ex", 2, []) == []
-    assert calls == {"cohort_matrix": 0, "select_features": 0, "svm_train": 0}
+    assert calls == {"fused_features": 0, "select_features": 0, "svm_train": 0}
     reports = sweep_top_n(fused_manifest, cfg, "rest_ex", 2, [5, 20, 10])
     assert len(reports) == 3
-    assert calls == {"cohort_matrix": 1, "select_features": 1, "svm_train": 3}
+    # each record the sweep needs is featurized once, on an empty cache
+    records = bench._required_entries(bench.load_manifest(fused_manifest),
+                                      "rest_ex", cfg, 2)
+    assert len(records) == 8
+    assert calls == {"fused_features": len(records), "select_features": 1,
+                     "svm_train": 3}
 
 
 def test_warm_fused_run_keeps_one_copy_of_its_rows(fused_manifest):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from ecgid import features
 from ecgid.bench import REPORT_COLUMNS, PipelineConfig, parse_report_csv
 from ecgid.cli import cli_main
 from ecgid.errors import EcgidError, InvariantViolation
@@ -295,6 +296,26 @@ def test_sweep_cli(tmp_path):
     rows = parse_report_csv(open(out, encoding="utf-8").read())
     assert [r["pipeline"] for r in rows] == [
         "fused_kl(0.3,10)+zscore+svm", "fused_kl(0.3,5)+zscore+svm"]
+
+
+@pytest.mark.parametrize("n_subjects", [1, 2])
+def test_fused_kl_with_one_auxiliary_subject_exits_2(tmp_path, capsys,
+                                                     monkeypatch, n_subjects):
+    # the auxiliary half is n_subjects // 2 subjects: 0 or 1 here
+    d = str(tmp_path / "cohort")
+    assert cli_main(["gen", "--subjects", str(n_subjects), "--seed", "9",
+                     "--out", d, "--rest-duration", "20",
+                     "--ex-duration", "15"]) == 0
+    featurized = []
+    real = features.fused_features
+    monkeypatch.setattr(features, "fused_features",
+                        lambda *a: featurized.append(a) or real(*a))
+    capsys.readouterr()
+    assert cli_main(["run", "--manifest", os.path.join(d, "manifest.txt"),
+                     "--protocol", "rest_ex", "--stage", "fused_kl",
+                     "--out", str(tmp_path / "r.csv")]) == 2
+    assert "selection needs >= 2 auxiliary subjects" in capsys.readouterr().err
+    assert featurized == []
 
 
 def test_sweep_bad_top_n_list_exits_1(gen_dir, capsys):
