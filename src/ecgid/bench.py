@@ -29,7 +29,7 @@ from .errors import (
     StageFailure,
     TooFewSubjects,
 )
-from .ingest import EcgRecord, derive_seed, load_manifest, load_record
+from .ingest import derive_seed, load_manifest, load_record
 
 # protocol -> the conditions it reads: one condition split chronologically,
 # or (train condition, test condition)
@@ -132,6 +132,8 @@ class PipelineConfig:
 
 _BOOL_WORDS = {"1": True, "0": False, "true": True, "false": False,
                "on": True, "off": False}
+_PARSERS = {bool: lambda v: _BOOL_WORDS[v.lower()], int: int, float: float,
+            str: str}
 
 
 def parse_config(text):
@@ -154,14 +156,7 @@ def parse_config(text):
         if key not in types:
             raise MalformedFile("config line %d: unknown key %r" % (i, key))
         try:
-            if types[key] is bool or types[key] == "bool":
-                values[key] = _BOOL_WORDS[val.lower()]
-            elif types[key] is int or types[key] == "int":
-                values[key] = int(val)
-            elif types[key] is float or types[key] == "float":
-                values[key] = float(val)
-            else:
-                values[key] = val
+            values[key] = _PARSERS[types[key]](val)
         except (KeyError, ValueError):
             raise MalformedFile("config line %d: bad value %r for %s"
                                 % (i, val, key))
@@ -257,20 +252,20 @@ def _manifest(cache, path):
     return _cached(cache, ("manifest", path), lambda: load_manifest(path))
 
 
-def _filtered(cache, path, sid, cond, band):
-    """One record band-passed to `band`; the file is read once per cache."""
-    def load():
+def _record(cache, path, sid, cond):
+    """(record as read, its BAND_HZ copy, detect_r_peaks on that copy),
+    built once per cache."""
+    def build():
         for s, c, rel, _ in _manifest(cache, path).entries:
             if (s, c) == (sid, cond):
-                full = os.path.join(os.path.dirname(path), rel)
-                return load_record(full, sid, cond)
+                raw = load_record(os.path.join(os.path.dirname(path), rel),
+                                  sid, cond)
+                fs = raw.sampling_rate_hz
+                rec = replace(raw, samples=preprocess_ecg(raw.samples, fs,
+                                                          *BAND_HZ))
+                return raw, rec, detect_r_peaks(rec.samples, fs)
         raise EmptyCohort("manifest has no %s/%s record" % (sid, cond))
-
-    def build():
-        rec = _cached(cache, ("record", path, sid, cond), load)
-        samples = preprocess_ecg(rec.samples, rec.sampling_rate_hz, *band)
-        return EcgRecord(sid, cond, rec.sampling_rate_hz, samples)
-    return _cached(cache, ("filtered", path, sid, cond, band), build)
+    return _cached(cache, ("record", path, sid, cond), build)
 
 
 def _record_stage_matrix(cache, path, sid, cond, config):
@@ -282,20 +277,18 @@ def _record_stage_matrix(cache, path, sid, cond, config):
     n = config.max_beats_per_subject
     key = ("stage", path, sid, cond, name, band, tuple(kwargs.items()), n)
 
-    def detection():
-        rec = _filtered(cache, path, sid, cond, BAND_HZ)
-        return detect_r_peaks(rec.samples, rec.sampling_rate_hz)
-
     def build():
         try:
-            det = _cached(cache, ("detection", path, sid, cond), detection)
+            raw, rec, det = _record(cache, path, sid, cond)
+            if band != BAND_HZ:  # made here, so the cache keeps no copy
+                rec = replace(raw, samples=preprocess_ecg(
+                    raw.samples, raw.sampling_rate_hz, *band))
             det = replace(det, r_peaks=det.r_peaks[:n],
                           qrs_onsets=det.qrs_onsets[:n],
                           qrs_offsets=det.qrs_offsets[:n])
             # looked up per call, so wrappers installed on ecgid.features run
             extract = getattr(_features, name)
-            return extract(_filtered(cache, path, sid, cond, band), det,
-                           **kwargs)
+            return extract(rec, det, **kwargs)
         except EmptyCohort:
             raise  # the manifest lacks this record; no stage ran
         except EcgidError as exc:

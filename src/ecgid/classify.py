@@ -37,30 +37,27 @@ def _row_norms(a):
     return out
 
 
-def squared_distances(a, b):
-    """Pairwise squared Euclidean distances, clipped at zero.
+def _distances_in_place(ab, na, nb, scratch):
+    """Squared distances max(na_i + nb_j - 2 ab_ij, 0) into ab, the dot
+    products of rows with squared norms na and nb; kNN and every kernel
+    step form them here. scratch, of ab's shape, is overwritten."""
+    ab *= 2.0
+    np.subtract(np.add(na[:, None], nb, out=scratch), ab, out=ab)
+    np.maximum(ab, 0.0, out=ab)
 
-    Equal to ||a_i||^2 + ||b_j||^2 - 2 a_i.b_j evaluated in that order;
-    the only full-size arrays are the result and one product temporary.
-    """
+
+def squared_distances(a, b):
+    """Pairwise squared Euclidean distances, clipped at zero."""
     a = np.asarray(a, float)
     b = np.asarray(b, float)
-    d2 = _row_norms(a)[:, None] + _row_norms(b)[None, :]
-    ab = a @ b.T
-    ab *= 2.0
-    d2 -= ab
-    np.maximum(d2, 0.0, out=d2)
+    d2 = a @ b.T
+    _distances_in_place(d2, _row_norms(a), _row_norms(b), np.empty_like(d2))
     return d2
 
 
 def _rbf_in_place(ab, na, nb, gamma, scratch):
-    """exp(-gamma * max(na_i + nb_j - 2 ab_ij, 0)) into ab, the dot
-    products of rows with squared norms na and nb: squared_distances'
-    steps in its order, so the bits match. scratch, of ab's shape, is
-    overwritten."""
-    ab *= 2.0
-    np.subtract(np.add(na[:, None], nb, out=scratch), ab, out=ab)
-    np.maximum(ab, 0.0, out=ab)
+    """exp(-gamma * d2) into ab, d2 as _distances_in_place forms it."""
+    _distances_in_place(ab, na, nb, scratch)
     ab *= -gamma
     np.exp(ab, out=ab)
 

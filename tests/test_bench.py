@@ -66,6 +66,19 @@ def fused_manifest(tmp_path_factory):
     return write_cohort(str(d), n_subjects=4, seed=11)
 
 
+def count_calls(monkeypatch, calls, module, *names):
+    """Wrap each named function of module so that calls[name] counts it."""
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(module, name,
+                            counting(name, getattr(module, name)))
+
+
 def toy_matrix(per_subject_rows, layout="toy"):
     """per_subject_rows: list of (sid, condition, n_rows); values encode the
     global row ordinal so chronology is checkable."""
@@ -410,6 +423,42 @@ def test_stages_share_cached_rows_only_on_the_same_extractor_and_band(
     assert len(cache) == n
 
 
+def test_front_end_runs_once_per_record_on_one_cache(fused_manifest,
+                                                     monkeypatch):
+    calls = {"load_record": 0, "preprocess_ecg": 0, "detect_r_peaks": 0}
+    count_calls(monkeypatch, calls, bench, *calls)
+    cache = {}
+    narrow = set()  # records the 10-40 Hz stage reads
+    for stage in STAGES:
+        cfg = PipelineConfig(stage=stage, classifier="knn",
+                             max_beats_per_subject=20)
+        for protocol in ("rest_rest", "rest_ex"):
+            run_pipeline(fused_manifest, cfg, protocol, 2, cache=cache)
+            if stage == "bandpass10_40+beat300":
+                narrow.update(bench._required_entries(
+                    bench.load_manifest(fused_manifest), protocol, cfg, 2))
+    records = {key[2:] for key in cache if key[0] == "record"}
+    assert len(records) == 8 and len(narrow) == 8
+    assert calls == {"load_record": len(records),
+                     "preprocess_ecg": len(records) + len(narrow),
+                     "detect_r_peaks": len(records)}
+    assert {key[0] for key in cache} == {"manifest", "record", "stage"}
+
+
+@pytest.mark.parametrize("protocol", ["rest_rest", "rest_ex"])
+def test_report_counts_the_beats_its_records_skipped(fused_manifest,
+                                                     protocol):
+    # 2 s windows miss the first beats: synthetic records put R at 0.5 s
+    cfg = PipelineConfig(stage="ac", window_s=2.0, classifier="knn")
+    cache = {}
+    report = run_pipeline(fused_manifest, cfg, protocol, 2, cache=cache)
+    parts = [v for key, v in cache.items() if key[0] == "stage"]
+    assert len(parts) == len(bench._required_entries(
+        bench.load_manifest(fused_manifest), protocol, cfg, 2))
+    assert report.skipped_beats > 0
+    assert report.skipped_beats == sum(p.skipped for p in parts)
+
+
 def test_run_pipeline_ac_pca_knn(small_manifest):
     cfg = PipelineConfig(stage="ac", reduction="pca", classifier="knn")
     report = run_pipeline(small_manifest, cfg, "rest_rest", seed=1)
@@ -516,18 +565,9 @@ def test_fused_kl_run_and_sweep(fused_manifest, capsys):
 
 def test_sweep_featurizes_and_selects_once(fused_manifest, monkeypatch):
     calls = {"fused_features": 0, "select_features": 0, "svm_train": 0}
-
-    def counting(module, name):
-        original = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        monkeypatch.setattr(module, name, wrapper)
-
-    counting(bench._features, "fused_features")
-    counting(bench._select, "select_features")
-    counting(bench._classify, "svm_train")
+    count_calls(monkeypatch, calls, bench._features, "fused_features")
+    count_calls(monkeypatch, calls, bench._select, "select_features")
+    count_calls(monkeypatch, calls, bench._classify, "svm_train")
     cfg = PipelineConfig(stage="fused_kl", normalize=True,
                          max_beats_per_subject=15)
     assert sweep_top_n(fused_manifest, cfg, "rest_ex", 2, []) == []

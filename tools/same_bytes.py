@@ -16,6 +16,9 @@ PYTHONPATH and one BLAS thread, then compares the outputs:
   `sweep 50,100,200` (default and a z-scored config), and `report` in
   csv and markdown.
 
+It also prints each checkout's `src/ecgid/*.py` line count, as `wc -l`
+counts it, and the change's delta against the base.
+
 Prints the first difference and exits 1; exits 0 when everything is
 identical and 2 when a checkout's workload fails. The two checkouts run
 one after the other, each in about 30 s on a 2-core machine.
@@ -134,6 +137,17 @@ def _run_checkout(checkout, out_dir):
     return proc.returncode == 0
 
 
+def _src_lines(checkout):
+    """Newlines in the checkout's src/ecgid/*.py, as `wc -l` counts them."""
+    src = os.path.join(checkout, "src", "ecgid")
+    total = 0
+    for name in os.listdir(src):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                total += fh.read().count("\n")
+    return total
+
+
 def _first_report_difference(base, change):
     if len(base) != len(change):
         return "%d reports vs %d" % (len(base), len(change))
@@ -160,12 +174,15 @@ def main(argv=None):
         return 0
     if not args.base:
         parser.error("--base is required")
+    checkouts = {"base": args.base,
+                 "change": os.path.dirname(os.path.dirname(HERE))}
+    lines = {side: _src_lines(c) for side, c in checkouts.items()}
+    print("src/ecgid/*.py lines: base %d, change %d (%+d)"
+          % (lines["base"], lines["change"], lines["change"] - lines["base"]))
     work = args.work or tempfile.mkdtemp(prefix="same_bytes_")
     try:
         outs = {}
-        for side, checkout in (("base", args.base),
-                               ("change", os.path.dirname(
-                                   os.path.dirname(HERE)))):
+        for side, checkout in checkouts.items():
             outs[side] = os.path.join(work, side)
             if not _run_checkout(checkout, outs[side]):
                 return 2
