@@ -10,6 +10,7 @@ fitted state is fingerprinted so leakage is testable.
 import csv
 import hashlib
 import io
+import numbers
 import os
 from dataclasses import dataclass, fields, replace
 
@@ -70,6 +71,10 @@ REPORT_COLUMNS = ("pipeline", "protocol", "train_acc_pct", "test_acc_pct",
 
 # ===== configuration ======================================================
 
+# field annotation -> the type its values must have, when not itself
+_ADMITS = {int: numbers.Integral, float: numbers.Real}
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Everything one experiment needs besides the data and the protocol."""
@@ -90,6 +95,12 @@ class PipelineConfig:
     max_beats_per_subject: int = 120
 
     def __post_init__(self):
+        for f in fields(self):  # a bool is no int or float here
+            v = getattr(self, f.name)
+            if (isinstance(v, bool) != (f.type is bool)
+                    or not isinstance(v, _ADMITS.get(f.type, f.type))):
+                raise InvariantViolation("%s must be of type %s, got %r"
+                                         % (f.name, f.type.__name__, v))
         if self.stage not in STAGES:
             raise InvariantViolation("unknown stage %r (one of %s)"
                                      % (self.stage, ", ".join(STAGES)))
@@ -102,13 +113,12 @@ class PipelineConfig:
         if self.stage == "ac" and not self.n_lags < self.window_s * 300.0 / 2:
             raise InvariantViolation(
                 "ac needs n_lags < window_s * fs / 2 at fs = 300")
-        if self.max_beats_per_subject < 1:
-            raise InvariantViolation("max_beats_per_subject must be >= 1")
         for name in ("c", "gamma", "tol", "window_s"):
             if not 0 < getattr(self, name) < np.inf:
                 raise InvariantViolation("%s must be finite and > 0" % name)
-        if self.max_epochs < 1:
-            raise InvariantViolation("max_epochs must be >= 1")
+        for name in ("max_beats_per_subject", "max_epochs", "knn_k"):
+            if getattr(self, name) < 1:
+                raise InvariantViolation("%s must be >= 1" % name)
 
     @property
     def stage_id(self):
@@ -203,10 +213,11 @@ def _conditions(protocol):
 
 def split_protocol(m, protocol):
     """Train/test split of m's rows; _split_records states the rules."""
-    key = np.array(list(zip(m.subject_ids, m.conditions)))
-    return _split_records([
-        _features.take_rows(m, np.flatnonzero((key == k).all(axis=1)))
-        for k in sorted(set(zip(m.subject_ids, m.conditions)))], protocol)
+    rows = {}  # Python keys: numpy strings drop an id's trailing NULs
+    for i, key in enumerate(zip(m.subject_ids, m.conditions)):
+        rows.setdefault(key, []).append(i)
+    return _split_records([_features.take_rows(m, rows[k])
+                           for k in sorted(rows)], protocol)
 
 
 def _split_records(parts, protocol):
@@ -369,37 +380,21 @@ class FittedState:
     knn_train: object = None
 
 
-def _fit(train, config, selection):
-    """fit_pipeline_state, plus the training rows as the classifier saw
-    them (z-scored and PCA-projected when the config asks for it)."""
+def fit_pipeline_state(train, config, selection=None):
+    """Fit z-score, PCA, and the classifier on training rows only."""
     m = train
-    zparams = None
+    zparams = pmodel = None
     if config.normalize:
         zparams = _features.zscore_fit(m)
         m = _features.zscore_apply(zparams, m)
-    pmodel = None
     if config.reduction == "pca":
         pmodel = _select.pca_fit(m)
         m = _select.pca_transform(pmodel, m)
-    if config.classifier == "svm":
-        model = _classify.svm_train(m, c=config.c, gamma=config.gamma,
-                                    tol=config.tol,
-                                    max_epochs=config.max_epochs)
-        return FittedState(config, selection, zparams, pmodel, model, None), m
-    return FittedState(config, selection, zparams, pmodel, None, m), m
-
-
-def fit_pipeline_state(train, config, selection=None):
-    """Fit z-score, PCA, and the classifier on training rows only."""
-    return _fit(train, config, selection)[0]
-
-
-def _classify_rows(state, m):
-    """Classify rows that the fitted z-score and PCA stages already
-    transformed."""
-    if state.svm is not None:
-        return _classify.svm_predict(state.svm, m)
-    return _classify.knn_predict(state.knn_train, m, k=state.config.knn_k)
+    if config.classifier == "knn":
+        return FittedState(config, selection, zparams, pmodel, None, m)
+    model = _classify.svm_train(m, c=config.c, gamma=config.gamma,
+                                tol=config.tol, max_epochs=config.max_epochs)
+    return FittedState(config, selection, zparams, pmodel, model, None)
 
 
 def predict_with_state(state, m):
@@ -409,7 +404,9 @@ def predict_with_state(state, m):
         m = _features.zscore_apply(state.zscore, m)
     if state.pca is not None:
         m = _select.pca_transform(state.pca, m)
-    return _classify_rows(state, m)
+    if state.svm is not None:
+        return _classify.svm_predict(state.svm, m)
+    return _classify.knn_predict(state.knn_train, m, k=state.config.knn_k)
 
 
 def state_fingerprint(state):
@@ -511,8 +508,7 @@ def _run_top_ns(manifest_path, config, protocol, seed, top_ns, cache):
     each top_n keeps a prefix of the one ranking of the weights.
 
     No step stacks the whole cohort: the split stacks each kept record's
-    rows (for fused_kl, its selected columns) into train and test, and the
-    z-scored or projected training rows die once they are classified."""
+    rows (for fused_kl, its selected columns) into train and test."""
     if not top_ns:
         return []
     cache = {} if cache is None else cache
@@ -537,9 +533,8 @@ def _run_top_ns(manifest_path, config, protocol, seed, top_ns, cache):
         cfg = replace(config, top_n=top_n)
         split = _split_records(parts if selection is None else [
             _select.apply_selection(selection, p) for p in parts], protocol)
-        state, fit_rows = _fit(split.train, cfg, selection)
-        train_pred = _classify_rows(state, fit_rows)
-        del fit_rows
+        state = fit_pipeline_state(split.train, cfg, selection)
+        train_pred = predict_with_state(state, split.train)
         test_pred = predict_with_state(state, split.test)
         reports.append(ExperimentReport(
             pipeline=cfg.pipeline_id,

@@ -363,8 +363,7 @@ def svm_decision_values(model, values):
     kt = np.empty((used.size, len(values)))
     for r in range(0, len(values), BLOCK_ROWS):
         rows = slice(r, r + BLOCK_ROWS)
-        # no gathered copy when every row is used; kt[:, rows] is scratch
-        blk = ab[rows] if used.size == ab.shape[1] else ab[rows][:, used]
+        blk = ab[rows][:, used]  # kt[:, rows] is scratch
         _rbf_in_place(blk, na[rows], nb, model.gamma, kt[:, rows].T)
         kt[:, rows], blk = blk.T, None  # one gathered block at a time
     ab = None  # free the product before the pairs gather from kt

@@ -143,9 +143,11 @@ def _aux_stats(aux):
     subjects = sorted(set(aux.subject_ids))
     if len(subjects) < 2:
         raise TooFewSubjects("selection needs >= 2 auxiliary subjects")
-    sid = np.array(aux.subject_ids)
+    # integer codes: numpy strings would drop an id's trailing NULs
+    code = {s: i for i, s in enumerate(subjects)}
+    sid = np.array([code[s] for s in aux.subject_ids])
     cond = np.array(aux.conditions)
-    subj_masks = [sid == s for s in subjects]
+    subj_masks = [sid == i for i in range(len(subjects))]
     for s, mask in zip(subjects, subj_masks):
         if not np.any(mask & (cond == "rest")) or \
                 not np.any(mask & (cond == "post_exercise")):

@@ -13,6 +13,8 @@ from math import comb
 
 import numpy as np
 
+from .errors import InvariantViolation
+
 N_VANISHING = 5  # Daubechies-5: filter length 10, support [0, 9]
 CASCADE_LEVELS = 8
 SUPPORT = 2 * N_VANISHING - 1
@@ -86,8 +88,8 @@ def mother_wavelet(x):
 
 def wavelet_kernel(scale):
     """Sampled psi(u/scale)/sqrt(scale) for integer u, odd length."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    if not 0 < scale < np.inf:
+        raise InvariantViolation("scale %r is not finite and > 0" % scale)
     half = int(np.ceil(CENTER * scale))
     u = np.arange(-half, half + 1)
     return mother_wavelet(u / scale) / np.sqrt(scale)

@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import os
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from ecgid.bench import (
     fit_pipeline_state,
     parse_config,
     parse_report_csv,
+    predict_with_state,
     render_report,
     render_rows,
     run_pipeline,
@@ -37,7 +39,7 @@ from ecgid.bench import (
     sweep_top_n,
     _split_indices,
 )
-from ecgid.classify import PredictionResult
+from ecgid.classify import PredictionResult, accuracy
 from ecgid.cli import cli_main
 from ecgid.errors import (
     EcgidError,
@@ -133,10 +135,24 @@ def test_config_validation():
         for bad in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(InvariantViolation, match=name):
                 PipelineConfig(**{name: bad})
-    for bad in (0, -1):
-        with pytest.raises(InvariantViolation, match="max_epochs"):
-            PipelineConfig(max_epochs=bad)
+    for name in ("max_epochs", "knn_k"):
+        for bad in (0, -1):
+            with pytest.raises(InvariantViolation, match=name):
+                PipelineConfig(**{name: bad})
+    # each field takes only its annotated type; a bool is no int or float
+    for name, bad in [("knn_k", 1.5), ("max_beats_per_subject", 30.5),
+                      ("top_n", 20.5), ("n_lags", 10.5), ("knn_k", True),
+                      ("max_epochs", "200"), ("c", "1"), ("lam", None),
+                      ("gamma", False), ("normalize", "no"),
+                      ("normalize", 1), ("stage", None)]:
+        with pytest.raises(InvariantViolation, match=name):
+            PipelineConfig(**{name: bad})
+    with pytest.raises(InvariantViolation, match="top_n"):
+        PipelineConfig(stage="fused_kl", top_n=20.5)
+    with pytest.raises(InvariantViolation, match="n_lags"):
+        PipelineConfig(stage="ac_beat", n_lags=10.5)
     PipelineConfig(c=1e-3, gamma=1e-9, tol=1e-12, max_epochs=1)
+    PipelineConfig(c=100, top_n=np.int64(5), lam=np.float64(0.5), knn_k=2)
 
 
 CONFIG_KEYS = [f.name for f in dataclasses.fields(PipelineConfig)]
@@ -173,7 +189,8 @@ def pipeline_configs(draw):
         normalize=draw(st.booleans()),
         classifier=draw(st.sampled_from(CLASSIFIERS)), c=draw(POSITIVE),
         gamma=draw(POSITIVE), tol=draw(POSITIVE),
-        max_epochs=draw(st.integers(min_value=1)), knn_k=draw(st.integers()),
+        max_epochs=draw(st.integers(min_value=1)),
+        knn_k=draw(st.integers(min_value=1)),
         max_beats_per_subject=draw(st.integers(min_value=1)))
     assume(values["stage"] != "ac"
            or values["n_lags"] < values["window_s"] * 300.0 / 2)
@@ -243,6 +260,16 @@ def test_split_drops_short_subjects_with_counter():
     assert split.dropped_subjects == ("s01",)
     assert split.n_subjects == 1
     assert set(split.train.subject_ids) == {"s00"}
+
+
+def test_split_keeps_ids_that_differ_by_a_trailing_nul_apart():
+    m = toy_matrix([("s1", "rest", 20), ("s1\x00", "rest", 20),
+                    ("s2", "rest", 20)])
+    split = split_protocol(m, "rest_rest")
+    assert split.n_subjects == 3
+    assert split.train.subject_ids.count("s1\x00") == 14
+    assert list(split.train.values[:, 0]) == (
+        [float(i) for r in (0, 20, 40) for i in range(r, r + 14)])
 
 
 def test_split_empty_cohort_raises():
@@ -344,6 +371,30 @@ def test_run_pipeline_qrs30_rest_rest(small_manifest):
     assert report.train_accuracy >= 0.8
     assert report.converged
     assert sum(n for (_, _, n) in report.confusion) == report.test_beats
+
+
+@pytest.mark.parametrize("cfg,protocol", [
+    (PipelineConfig(stage="qrs30", reduction="pca"), "rest_rest"),
+    (PipelineConfig(stage="fused", normalize=True), "rest_ex"),
+    (PipelineConfig(stage="beat300", normalize=True, classifier="knn",
+                    knn_k=3), "ex_last70"),
+])
+def test_run_fits_and_predicts_through_the_public_path(small_manifest, cfg,
+                                                       protocol):
+    report = run_pipeline(small_manifest, cfg, protocol, seed=1)
+    matrix, _ = cohort_matrix(small_manifest, cfg, protocol, 1)
+    split = split_protocol(matrix, protocol)
+    state = fit_pipeline_state(split.train, cfg)
+    train_pred = predict_with_state(state, split.train)
+    test_pred = predict_with_state(state, split.test)
+    truth = split.test.subject_ids
+    assert report.train_accuracy == accuracy(train_pred,
+                                             split.train.subject_ids)
+    assert report.test_accuracy == accuracy(test_pred, truth)
+    assert report.confusion == tuple(sorted(
+        (t, p, n) for (t, p), n in Counter(zip(truth, test_pred.labels))
+        .items()))
+    assert report.state_fingerprint == state_fingerprint(state)
 
 
 def test_run_pipeline_deterministic_and_cacheable(small_manifest):

@@ -169,6 +169,17 @@ def test_missing_condition_raises():
         select_features(broken, 0.3, top_n=1)
 
 
+def test_ids_differing_by_a_trailing_nul_are_two_subjects():
+    aux = make_aux(n_subjects=3, seed=13, subject_shift=2.0)
+    # "s00" < "s00\x00" < "s02": the renamed subject keeps its rank
+    nul = toy_matrix(aux.values, [{"s01": "s00\x00"}.get(s, s)
+                                  for s in aux.subject_ids], aux.conditions)
+    want = select_features(aux, 0.3, top_n=2)
+    got = select_features(nul, 0.3, top_n=2)
+    assert np.array_equal(got.w1, want.w1)
+    assert np.array_equal(got.w2, want.w2)
+
+
 def test_too_few_subjects_raises():
     aux = make_aux(n_subjects=1, seed=12)
     with pytest.raises(TooFewSubjects):

@@ -6,6 +6,7 @@ vanishing-moment constraints."""
 import numpy as np
 import pytest
 
+from ecgid.errors import InvariantViolation
 from ecgid.wavelets import (
     mother_wavelet,
     quadrature_mirror,
@@ -78,5 +79,6 @@ def test_wavelet_kernel_geometry():
         u = np.arange(-half, half + 1)
         direct = mother_wavelet(u / a) / np.sqrt(a)
         assert np.array_equal(k, direct)
-    with pytest.raises(ValueError):
-        wavelet_kernel(0.0)
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(InvariantViolation, match="scale"):
+            wavelet_kernel(bad)
