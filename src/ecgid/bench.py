@@ -49,7 +49,7 @@ STAGE_EXTRACTORS = {
     "stft": ("stft_features", ()),
     "cwt": ("cwt_features", ()),
     "ac": ("ac_features", ("n_lags", "window_s")),
-    "ac_beat": ("ac_beat_features", ("n_lags",)),
+    "ac_beat": ("ac_beat_features", ()),
     "fused": ("fused_features", ()),
     "fused_kl": ("fused_features", ()),
 }
@@ -89,8 +89,6 @@ class PipelineConfig:
     classifier: str = "svm"
     c: float = 100.0
     gamma: float = 1.0
-    tol: float = 1e-3
-    max_epochs: int = 200
     knn_k: int = 1
     max_beats_per_subject: int = 120
 
@@ -113,10 +111,10 @@ class PipelineConfig:
         if self.stage == "ac" and not self.n_lags < self.window_s * 300.0 / 2:
             raise InvariantViolation(
                 "ac needs n_lags < window_s * fs / 2 at fs = 300")
-        for name in ("c", "gamma", "tol", "window_s"):
+        for name in ("c", "gamma", "window_s"):
             if not 0 < getattr(self, name) < np.inf:
                 raise InvariantViolation("%s must be finite and > 0" % name)
-        for name in ("max_beats_per_subject", "max_epochs", "knn_k"):
+        for name in ("max_beats_per_subject", "knn_k"):
             if getattr(self, name) < 1:
                 raise InvariantViolation("%s must be >= 1" % name)
 
@@ -392,8 +390,7 @@ def fit_pipeline_state(train, config, selection=None):
         m = _select.pca_transform(pmodel, m)
     if config.classifier == "knn":
         return FittedState(config, selection, zparams, pmodel, None, m)
-    model = _classify.svm_train(m, c=config.c, gamma=config.gamma,
-                                tol=config.tol, max_epochs=config.max_epochs)
+    model = _classify.svm_train(m, c=config.c, gamma=config.gamma)
     return FittedState(config, selection, zparams, pmodel, model, None)
 
 
@@ -502,15 +499,17 @@ def subject_majority_accuracy(pred, truth):
                for t, preds in per.items()) / len(per)
 
 
-def _run_top_ns(manifest_path, config, protocol, seed, top_ns, cache):
-    """One report per top_n in `top_ns`. Each record is featurized once, and
-    the selection weights are fitted once on the stacked auxiliary records;
-    each top_n keeps a prefix of the one ranking of the weights.
+def _run_top_ns(manifest_path, configs, protocol, seed, cache):
+    """One report per config in `configs`, which differ only in top_n. Each
+    record is featurized once, and the selection weights are fitted once on
+    the stacked auxiliary records; each top_n keeps a prefix of the one
+    ranking of the weights.
 
     No step stacks the whole cohort: the split stacks each kept record's
     rows (for fused_kl, its selected columns) into train and test."""
-    if not top_ns:
+    if not configs:
         return []
+    config = configs[0]
     cache = {} if cache is None else cache
     path = os.path.abspath(manifest_path)
     man = _manifest(cache, path)
@@ -520,17 +519,16 @@ def _run_top_ns(manifest_path, config, protocol, seed, top_ns, cache):
     parts = [_record_stage_matrix(cache, path, sid, cond, config)
              for sid, cond in _required_entries(man, protocol, config, seed)]
     skipped = sum(p.skipped for p in parts)
-    selections = [None] * len(top_ns)
+    selections = [None] * len(configs)
     if config.stage == "fused_kl":
         full = _select.select_features(_features.concat_matrices(
             [p for p in parts if p.subject_ids[0] in aux_sids]),
-            config.lam, max(top_ns))
-        selections = [replace(full, selected=full.selected[:n], top_n=n)
-                      for n in top_ns]
+            config.lam, max(c.top_n for c in configs))
+        selections = [replace(full, selected=full.selected[:c.top_n],
+                              top_n=c.top_n) for c in configs]
         parts = [p for p in parts if p.subject_ids[0] not in aux_sids]
     reports = []
-    for top_n, selection in zip(top_ns, selections):
-        cfg = replace(config, top_n=top_n)
+    for cfg, selection in zip(configs, selections):
         split = _split_records(parts if selection is None else [
             _select.apply_selection(selection, p) for p in parts], protocol)
         state = fit_pipeline_state(split.train, cfg, selection)
@@ -579,8 +577,7 @@ def run_pipeline(manifest_path, config, protocol, seed, cache=None):
     -------
     ExperimentReport
     """
-    return _run_top_ns(manifest_path, config, protocol, seed,
-                       [config.top_n], cache)[0]
+    return _run_top_ns(manifest_path, [config], protocol, seed, cache)[0]
 
 
 def sweep_top_n(manifest_path, config, protocol, seed, top_n_values,
@@ -589,8 +586,8 @@ def sweep_top_n(manifest_path, config, protocol, seed, top_n_values,
     run_pipeline at that top_n; the selection weights are fitted once."""
     if config.stage != "fused_kl":
         raise InvariantViolation("sweep applies to the fused_kl stage")
-    return _run_top_ns(manifest_path, config, protocol, seed,
-                       [int(n) for n in top_n_values], cache)
+    configs = [replace(config, top_n=n) for n in top_n_values]
+    return _run_top_ns(manifest_path, configs, protocol, seed, cache)
 
 
 def render_report(reports, fmt="csv"):
@@ -601,15 +598,12 @@ def render_report(reports, fmt="csv"):
     """
     if not reports:
         raise InvariantViolation("no reports to render")
-    rows = []
-    for r in sorted(reports, key=lambda r: (r.pipeline, r.protocol)):
-        rows.append((r.pipeline, r.protocol,
-                     "%.1f%%" % (100.0 * r.train_accuracy),
-                     "%.1f%%" % (100.0 * r.test_accuracy),
-                     str(r.n_subjects), str(r.train_beats),
-                     str(r.test_beats), str(r.skipped_beats),
-                     "1" if r.converged else "0",
-                     "%.1f%%" % (100.0 * r.subject_majority_accuracy)))
+    rows = [(r.pipeline, r.protocol, "%.1f%%" % (100.0 * r.train_accuracy),
+             "%.1f%%" % (100.0 * r.test_accuracy), str(r.n_subjects),
+             str(r.train_beats), str(r.test_beats), str(r.skipped_beats),
+             "1" if r.converged else "0",
+             "%.1f%%" % (100.0 * r.subject_majority_accuracy))
+            for r in sorted(reports, key=lambda r: (r.pipeline, r.protocol))]
     return render_rows(rows, fmt)
 
 
@@ -625,8 +619,7 @@ def render_rows(rows, fmt):
         return buf.getvalue()
     lines = ["| " + " | ".join(REPORT_COLUMNS) + " |",
              "|" + "|".join(" --- " for _ in REPORT_COLUMNS) + "|"]
-    for row in rows:
-        lines.append("| " + " | ".join(row) + " |")
+    lines += ["| " + " | ".join(row) + " |" for row in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -295,12 +295,12 @@ def ac_features(record, det, n_lags=AC_LAGS, window_s=1.0):
                           "ac%d" % n_lags, skipped + dropped)
 
 
-def ac_beat_features(record, det, n_lags=AC_LAGS):
-    """Autocorrelation of the 300-sample beat vectors."""
+def ac_beat_features(record, det):
+    """80-lag autocorrelation of the 300-sample beat vectors."""
     beats = beat_features(record, det)
     rows, dropped = _with_energy(beats.values)
-    return _record_matrix(record, autocorr_features(rows, n_lags),
-                          "ac%d_beat" % n_lags, beats.skipped + dropped)
+    return _record_matrix(record, autocorr_features(rows, AC_LAGS),
+                          "ac%d_beat" % AC_LAGS, beats.skipped + dropped)
 
 
 def fused_features(record, det):

@@ -91,5 +91,8 @@ def wavelet_kernel(scale):
     if not 0 < scale < np.inf:
         raise InvariantViolation("scale %r is not finite and > 0" % scale)
     half = int(np.ceil(CENTER * scale))
-    u = np.arange(-half, half + 1)
+    try:
+        u = np.arange(-half, half + 1)
+    except (ValueError, MemoryError) as exc:
+        raise InvariantViolation("scale %r is too large" % scale) from exc
     return mother_wavelet(u / scale) / np.sqrt(scale)

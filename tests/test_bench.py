@@ -131,19 +131,19 @@ def test_config_validation():
         PipelineConfig(lam=1.5)
     with pytest.raises(InvariantViolation):
         PipelineConfig(stage="ac", n_lags=200, window_s=1.0)
-    for name in ("c", "gamma", "tol", "window_s"):
+    for name in ("c", "gamma", "window_s"):
         for bad in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(InvariantViolation, match=name):
                 PipelineConfig(**{name: bad})
-    for name in ("max_epochs", "knn_k"):
+    for name in ("max_beats_per_subject", "knn_k"):
         for bad in (0, -1):
             with pytest.raises(InvariantViolation, match=name):
                 PipelineConfig(**{name: bad})
     # each field takes only its annotated type; a bool is no int or float
     for name, bad in [("knn_k", 1.5), ("max_beats_per_subject", 30.5),
                       ("top_n", 20.5), ("n_lags", 10.5), ("knn_k", True),
-                      ("max_epochs", "200"), ("c", "1"), ("lam", None),
-                      ("gamma", False), ("normalize", "no"),
+                      ("max_beats_per_subject", "200"), ("c", "1"),
+                      ("lam", None), ("gamma", False), ("normalize", "no"),
                       ("normalize", 1), ("stage", None)]:
         with pytest.raises(InvariantViolation, match=name):
             PipelineConfig(**{name: bad})
@@ -151,7 +151,7 @@ def test_config_validation():
         PipelineConfig(stage="fused_kl", top_n=20.5)
     with pytest.raises(InvariantViolation, match="n_lags"):
         PipelineConfig(stage="ac_beat", n_lags=10.5)
-    PipelineConfig(c=1e-3, gamma=1e-9, tol=1e-12, max_epochs=1)
+    PipelineConfig(c=1e-3, gamma=1e-9, max_beats_per_subject=1)
     PipelineConfig(c=100, top_n=np.int64(5), lam=np.float64(0.5), knn_k=2)
 
 
@@ -188,9 +188,7 @@ def pipeline_configs(draw):
         top_n=draw(st.integers()), reduction=draw(st.sampled_from(REDUCTIONS)),
         normalize=draw(st.booleans()),
         classifier=draw(st.sampled_from(CLASSIFIERS)), c=draw(POSITIVE),
-        gamma=draw(POSITIVE), tol=draw(POSITIVE),
-        max_epochs=draw(st.integers(min_value=1)),
-        knn_k=draw(st.integers(min_value=1)),
+        gamma=draw(POSITIVE), knn_k=draw(st.integers(min_value=1)),
         max_beats_per_subject=draw(st.integers(min_value=1)))
     assume(values["stage"] != "ac"
            or values["n_lags"] < values["window_s"] * 300.0 / 2)
@@ -440,6 +438,8 @@ def test_cached_rows_are_keyed_by_the_fields_their_extractor_reads(
                                cache=cache)
     fresh = run_pipeline(small_manifest, cfg, "rest_rest", 1)
     assert warm_report.state_fingerprint != fresh.state_fingerprint
+    # a report's name tells configs that give different rows apart
+    assert warm_report.pipeline != fresh.pipeline
     assert run_pipeline(small_manifest, cfg, "rest_rest", 1,
                         cache=cache) == fresh
 
@@ -622,8 +622,13 @@ def test_sweep_featurizes_and_selects_once(fused_manifest, monkeypatch):
     cfg = PipelineConfig(stage="fused_kl", normalize=True,
                          max_beats_per_subject=15)
     assert sweep_top_n(fused_manifest, cfg, "rest_ex", 2, []) == []
+    # a count that is no integer fails its config before any record is read
+    for bad in ([20.5], [True], ["50"], [10, 20.5]):
+        with pytest.raises(InvariantViolation, match="top_n"):
+            sweep_top_n(fused_manifest, cfg, "rest_ex", 2, bad)
     assert calls == {"fused_features": 0, "select_features": 0, "svm_train": 0}
-    reports = sweep_top_n(fused_manifest, cfg, "rest_ex", 2, [5, 20, 10])
+    reports = sweep_top_n(fused_manifest, cfg, "rest_ex", 2,
+                          [np.int64(5), 20, 10])
     assert len(reports) == 3
     # each record the sweep needs is featurized once, on an empty cache
     records = bench._required_entries(bench.load_manifest(fused_manifest),

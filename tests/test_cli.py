@@ -178,7 +178,8 @@ def test_data_errors_exit_2(tmp_path, capsys):
     assert "gamma must be finite and > 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["lo_hz", "hi_hz", "variance_retained"])
+@pytest.mark.parametrize("key", ["lo_hz", "hi_hz", "variance_retained",
+                                 "tol", "max_epochs"])
 def test_config_keys_of_the_fixed_band_and_pca_exit_2(gen_dir, tmp_path,
                                                       capsys, key):
     cfg = tmp_path / "cfg.txt"

@@ -17,7 +17,8 @@ PYTHONPATH and one BLAS thread, then compares the outputs:
   csv and markdown.
 
 It also prints each checkout's `src/ecgid/*.py` line count, as `wc -l`
-counts it, and the change's delta against the base.
+counts it, and its number of settable values, the fields of
+`PipelineConfig`, each with the change's delta against the base.
 
 Prints the first difference and exits 1; exits 0 when everything is
 identical and 2 when a checkout's workload fails. The two checkouts run
@@ -25,6 +26,7 @@ one after the other, each in about 30 s on a 2-core machine.
 """
 
 import argparse
+import ast
 import dataclasses
 import json
 import os
@@ -148,6 +150,17 @@ def _src_lines(checkout):
     return total
 
 
+def _config_fields(checkout):
+    """Annotated fields of PipelineConfig in the checkout's bench.py, read
+    from its source so that neither checkout is imported here."""
+    with open(os.path.join(checkout, "src", "ecgid", "bench.py"),
+              encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef)
+               and n.name == "PipelineConfig")
+    return sum(isinstance(n, ast.AnnAssign) for n in cls.body)
+
+
 def _first_report_difference(base, change):
     if len(base) != len(change):
         return "%d reports vs %d" % (len(base), len(change))
@@ -176,9 +189,11 @@ def main(argv=None):
         parser.error("--base is required")
     checkouts = {"base": args.base,
                  "change": os.path.dirname(os.path.dirname(HERE))}
-    lines = {side: _src_lines(c) for side, c in checkouts.items()}
-    print("src/ecgid/*.py lines: base %d, change %d (%+d)"
-          % (lines["base"], lines["change"], lines["change"] - lines["base"]))
+    for label, count in (("src/ecgid/*.py lines", _src_lines),
+                         ("PipelineConfig fields", _config_fields)):
+        base, change = (count(c) for c in checkouts.values())
+        print("%s: base %d, change %d (%+d)"
+              % (label, base, change, change - base))
     work = args.work or tempfile.mkdtemp(prefix="same_bytes_")
     try:
         outs = {}
