@@ -11,6 +11,7 @@ from ecgid import (
     preprocess_ecg,
     synthesize_record,
 )
+from ecgid.ingest import CONDITIONS
 
 
 def main():
@@ -18,7 +19,7 @@ def main():
     print("subject s01: rest %.1f bpm, post-exercise %.1f bpm"
           % (params.rest_hr_bpm, params.ex_hr_bpm))
 
-    for condition in ("rest", "post_exercise"):
+    for condition in CONDITIONS:
         record, truth = synthesize_record(
             params, condition, duration_s=60.0, noise_on=True,
             rng_seed=derive_seed("record", 42, "s01", condition))

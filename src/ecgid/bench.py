@@ -20,7 +20,7 @@ from . import classify as _classify
 from . import features as _features
 from . import select as _select
 from .detect import detect_r_peaks
-from .dsp import preprocess_ecg
+from .dsp import BAND_HZ, preprocess_ecg
 from .errors import (
     EcgidError,
     EmptyCohort,
@@ -30,14 +30,13 @@ from .errors import (
     StageFailure,
     TooFewSubjects,
 )
-from .ingest import derive_seed, load_manifest, load_record
+from .ingest import CONDITIONS, derive_seed, load_manifest, load_record
 
 # protocol -> the conditions it reads: one condition split chronologically,
 # or (train condition, test condition)
-PROTOCOL_CONDITIONS = {"rest_rest": ("rest",),
-                       "ex_first70": ("post_exercise",),
-                       "ex_last70": ("post_exercise",),
-                       "rest_ex": ("rest", "post_exercise")}
+_REST, _EX = CONDITIONS
+PROTOCOL_CONDITIONS = {"rest_rest": (_REST,), "ex_first70": (_EX,),
+                       "ex_last70": (_EX,), "rest_ex": (_REST, _EX)}
 PROTOCOLS = tuple(PROTOCOL_CONDITIONS)
 # stage -> (extractor in ecgid.features, the config fields it reads); the
 # build passes exactly these fields, and they are part of the rows' cache key
@@ -54,9 +53,8 @@ STAGE_EXTRACTORS = {
     "fused_kl": ("fused_features", ()),
 }
 STAGES = tuple(STAGE_EXTRACTORS)
-# every record is band-passed to BAND_HZ for detection and features; the
+# every record is band-passed to dsp.BAND_HZ for detection and features; the
 # bandpass10_40+beat300 stage takes its beats from the NARROW_BAND_HZ signal
-BAND_HZ = (0.5, 40.0)
 NARROW_BAND_HZ = (10.0, 40.0)
 REDUCTIONS = ("none", "pca")
 CLASSIFIERS = ("svm", "knn")
@@ -117,6 +115,9 @@ class PipelineConfig:
         for name in ("max_beats_per_subject", "knn_k"):
             if getattr(self, name) < 1:
                 raise InvariantViolation("%s must be >= 1" % name)
+        if self.stage == "fused_kl" and self.top_n < 1:
+            raise InvariantViolation("top_n must lie in [1, dim] for "
+                                     "fused_kl, got %r" % self.top_n)
 
     @property
     def stage_id(self):
@@ -261,18 +262,21 @@ def _manifest(cache, path):
     return _cached(cache, ("manifest", path), lambda: load_manifest(path))
 
 
+def read_record(path, sid, cond):
+    """(record as read, its BAND_HZ copy, detect_r_peaks on that copy)."""
+    raw = load_record(path, sid, cond)
+    fs = raw.sampling_rate_hz
+    rec = replace(raw, samples=preprocess_ecg(raw.samples, fs, *BAND_HZ))
+    return raw, rec, detect_r_peaks(rec.samples, fs)
+
+
 def _record(cache, path, sid, cond):
-    """(record as read, its BAND_HZ copy, detect_r_peaks on that copy),
-    built once per cache."""
+    """read_record of the manifest's sid/cond entry, built once per cache."""
     def build():
         for s, c, rel, _ in _manifest(cache, path).entries:
             if (s, c) == (sid, cond):
-                raw = load_record(os.path.join(os.path.dirname(path), rel),
-                                  sid, cond)
-                fs = raw.sampling_rate_hz
-                rec = replace(raw, samples=preprocess_ecg(raw.samples, fs,
-                                                          *BAND_HZ))
-                return raw, rec, detect_r_peaks(rec.samples, fs)
+                return read_record(os.path.join(os.path.dirname(path), rel),
+                                   sid, cond)
         raise EmptyCohort("manifest has no %s/%s record" % (sid, cond))
     return _cached(cache, ("record", path, sid, cond), build)
 
@@ -314,7 +318,7 @@ def _required_entries(manifest, protocol, config, seed):
     subjects = manifest.subject_ids
     if config.stage == "fused_kl":
         aux, eval_ = aux_eval_split(subjects, seed)
-        pairs = [(s, c) for s in aux for c in ("rest", "post_exercise")]
+        pairs = [(s, c) for s in aux for c in CONDITIONS]
         pairs += [(s, c) for s in eval_ for c in base]
     else:
         pairs = [(s, c) for s in subjects for c in base]
@@ -591,11 +595,8 @@ def sweep_top_n(manifest_path, config, protocol, seed, top_n_values,
 
 
 def render_report(reports, fmt="csv"):
-    """Render reports as CSV or a Markdown table.
-
-    Rows are sorted by (pipeline, protocol); accuracies print as
-    percentages with one decimal.
-    """
+    """Render reports as CSV or a Markdown table through render_rows;
+    accuracies print as percentages with one decimal."""
     if not reports:
         raise InvariantViolation("no reports to render")
     rows = [(r.pipeline, r.protocol, "%.1f%%" % (100.0 * r.train_accuracy),
@@ -603,14 +604,16 @@ def render_report(reports, fmt="csv"):
              str(r.train_beats), str(r.test_beats), str(r.skipped_beats),
              "1" if r.converged else "0",
              "%.1f%%" % (100.0 * r.subject_majority_accuracy))
-            for r in sorted(reports, key=lambda r: (r.pipeline, r.protocol))]
+            for r in reports]
     return render_rows(rows, fmt)
 
 
 def render_rows(rows, fmt):
-    """Render pre-formatted report rows (tuples of strings) as csv or markdown."""
+    """Render pre-formatted report rows (tuples of strings) as csv or
+    markdown, sorted by (pipeline, protocol)."""
     if fmt not in ("csv", "markdown"):
         raise InvariantViolation("format must be csv or markdown")
+    rows = sorted(rows, key=lambda r: (r[0], r[1]))
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

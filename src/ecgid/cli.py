@@ -11,15 +11,14 @@ from dataclasses import replace
 
 from . import bench
 from .errors import EcgidError
-from .detect import detect_r_peaks
-from .dsp import preprocess_ecg
 from .features import load_feature_matrix, save_feature_matrix
 from .ingest import (
+    CONDITIONS,
     DatasetManifest,
     _read_text,
+    _write_lines,
     build_cohort,
     load_manifest,
-    load_record,
     save_manifest,
     save_record,
 )
@@ -35,19 +34,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_text(path, text):
+    """text, which ends in a newline, to stdout or to the file at path."""
     if path is None:
         sys.stdout.write(text)
-        return
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    else:
+        _write_lines(path, [text[:-1]])
 
 
 def _load_config(args):
-    if getattr(args, "config", None):
+    if args.config:
         cfg = bench.parse_config(_read_text(args.config))
     else:
         cfg = bench.PipelineConfig()
-    if getattr(args, "stage", None):
+    if getattr(args, "stage", None):  # sweep has no --stage
         cfg = replace(cfg, stage=args.stage)
     return cfg
 
@@ -75,10 +74,7 @@ def _cmd_gen(args):
 
 
 def _cmd_detect(args):
-    record = load_record(args.record, args.subject, args.condition)
-    filtered = preprocess_ecg(record.samples, record.sampling_rate_hz,
-                              args.lo, args.hi)
-    det = detect_r_peaks(filtered, record.sampling_rate_hz)
+    det = bench.read_record(args.record, args.subject, args.condition)[2]
     text = "\n".join(str(int(r)) for r in det.r_peaks) + "\n"
     _write_text(args.out, text)
     return 0
@@ -122,7 +118,6 @@ def _cmd_report(args):
     for path in args.inputs:
         for row in bench.parse_report_csv(_read_text(path), path):
             rows.append(tuple(row[c] for c in bench.REPORT_COLUMNS))
-    rows.sort(key=lambda r: (r[0], r[1]))
     _write_text(args.out, bench.render_rows(rows, args.format))
     return 0
 
@@ -155,17 +150,14 @@ def build_parser():
     p = sub.add_parser("detect", help="R peaks for one record")
     p.add_argument("--record", required=True)
     p.add_argument("--subject", default="s00")
-    p.add_argument("--condition", default="rest",
-                   choices=("rest", "post_exercise"))
-    p.add_argument("--lo", type=float, default=0.5)
-    p.add_argument("--hi", type=float, default=40.0)
+    p.add_argument("--condition", default=CONDITIONS[0], choices=CONDITIONS)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_detect)
 
     p = sub.add_parser("featurize",
                        help="manifest + stage -> feature-matrix file")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--stage", choices=bench.STAGES, default="qrs30")
+    p.add_argument("--stage", choices=bench.STAGES, default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_featurize)
@@ -178,31 +170,29 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_select)
 
-    p = sub.add_parser("run", help="one pipeline x protocol experiment")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--protocol", choices=bench.PROTOCOLS, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", default=None)
+    # flags shared by run and sweep (exp) and by run, sweep and report (out)
+    exp = argparse.ArgumentParser(add_help=False)
+    exp.add_argument("--manifest", required=True)
+    exp.add_argument("--protocol", choices=bench.PROTOCOLS, required=True)
+    exp.add_argument("--seed", type=int, default=0)
+    exp.add_argument("--config", default=None)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--format", choices=("csv", "markdown"), default="csv")
+    out.add_argument("--out", default=None)
+
+    p = sub.add_parser("run", help="one pipeline x protocol experiment",
+                       parents=[exp, out])
     p.add_argument("--stage", choices=bench.STAGES, default=None)
-    p.add_argument("--format", choices=("csv", "markdown"), default="csv")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("sweep", help="fused_kl top_n sweep")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--protocol", choices=bench.PROTOCOLS, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", default=None)
+    p = sub.add_parser("sweep", help="fused_kl top_n sweep", parents=[exp, out])
     p.add_argument("--top-n-list", type=_int_list, required=True,
                    help="comma-separated counts, e.g. 50,100,200")
-    p.add_argument("--format", choices=("csv", "markdown"), default="csv")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("report", help="merge report CSVs into one table")
+    p = sub.add_parser("report", help="merge report CSVs into one table",
+                       parents=[out])
     p.add_argument("--inputs", nargs="+", required=True)
-    p.add_argument("--format", choices=("csv", "markdown"), default="csv")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_report)
 
     return parser
@@ -217,10 +207,7 @@ def cli_main(argv=None):
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except EcgidError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (EcgidError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -157,7 +157,7 @@ def detect_r_peaks(x, fs_hz):
     Parameters
     ----------
     x : array_like
-        Preprocessed (0.5-40 Hz band-passed) ECG samples, >= 2 s.
+        Preprocessed (`dsp.BAND_HZ` band-passed) ECG samples, >= 2 s.
     fs_hz : float
         Sampling rate.
 

@@ -11,6 +11,9 @@ from scipy.signal import lfilter
 
 from .errors import InvalidBand, SignalTooShort
 
+# the band every record is filtered to for detection and features
+BAND_HZ = (0.5, 40.0)
+
 
 @dataclass(frozen=True)
 class FilterCoefficients:
@@ -118,8 +121,8 @@ def filter_zero_phase(coeffs, x):
     return y[pad:pad + x.size]
 
 
-def preprocess_ecg(x, fs_hz, lo_hz=0.5, hi_hz=40.0):
-    """Standard front-end: zero-phase order-4 band-pass, default 0.5-40 Hz."""
+def preprocess_ecg(x, fs_hz, lo_hz=BAND_HZ[0], hi_hz=BAND_HZ[1]):
+    """Standard front-end: zero-phase order-4 band-pass, default BAND_HZ."""
     coeffs = design_butterworth_bandpass(4, lo_hz, hi_hz, fs_hz)
     return filter_zero_phase(coeffs, np.asarray(x, dtype=float))
 

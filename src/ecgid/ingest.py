@@ -14,6 +14,7 @@ from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
+from .dsp import BAND_HZ
 from .errors import (
     InvariantViolation,
     IoFailure,
@@ -47,10 +48,10 @@ class EcgRecord:
         object.__setattr__(self, "samples", s)
         if self.condition not in CONDITIONS:
             raise InvariantViolation("unknown condition %r" % (self.condition,))
-        if not 2 * 40 < self.sampling_rate_hz < np.inf:
+        if not 2 * BAND_HZ[1] < self.sampling_rate_hz < np.inf:
             raise InvariantViolation("sampling rate %g must be finite and above "
-                                     "the Nyquist bound for the 40 Hz cutoff"
-                                     % self.sampling_rate_hz)
+                                     "the Nyquist bound for the %g Hz cutoff"
+                                     % (self.sampling_rate_hz, BAND_HZ[1]))
         if s.size < 2 * self.sampling_rate_hz:
             raise TooShort(
                 "record has %d samples, need at least 2 s (%d)"

@@ -20,7 +20,7 @@ from .errors import (
     TooFewSubjects,
 )
 from .features import FeatureMatrix
-from .ingest import _write_lines
+from .ingest import CONDITIONS, _write_lines
 
 SIGMA_FLOOR = 1e-6
 
@@ -149,8 +149,7 @@ def _aux_stats(aux):
     cond = np.array(aux.conditions)
     subj_masks = [sid == i for i in range(len(subjects))]
     for s, mask in zip(subjects, subj_masks):
-        if not np.any(mask & (cond == "rest")) or \
-                not np.any(mask & (cond == "post_exercise")):
+        if not all(np.any(mask & (cond == c)) for c in CONDITIONS):
             raise MissingCondition("subject %s lacks a condition in aux" % s)
     return subjects, subj_masks, cond
 
@@ -167,7 +166,7 @@ def _weight_vectors(aux):
         sub_mean = x[mask].mean(axis=0)
         sub_std = x[mask].std(axis=0)
         w1 += kl_sym(sub_mean, sub_std, pop_mean, pop_std)
-        for c in ("rest", "post_exercise"):
+        for c in CONDITIONS:
             cmask = mask & (cond == c)
             c_mean = x[cmask].mean(axis=0)
             c_std = x[cmask].std(axis=0)

@@ -54,29 +54,20 @@ def quadrature_mirror(h):
     return signs * h[::-1]
 
 
-def _cascade(v):
-    """(grid, f): the cascade algorithm from first-level coefficients v,
-    upsampled and convolved with the scaling filter down to the finest
-    dyadic level."""
+@lru_cache(maxsize=1)
+def wavelet_table():
+    """(grid, psi) pair: psi sampled at grid points spanning [0, 9].
+
+    The cascade algorithm: the highpass filter's coefficients, upsampled and
+    convolved with the scaling filter down to the finest dyadic level."""
     h = scaling_filter()
+    v = quadrature_mirror(h)
     for _ in range(CASCADE_LEVELS - 1):
         up = np.zeros(2 * v.size - 1)
         up[::2] = v
         v = np.convolve(up, h)
-    f = v * 2.0 ** (CASCADE_LEVELS / 2.0)
-    return np.arange(f.size) / 2.0 ** CASCADE_LEVELS, f
-
-
-@lru_cache(maxsize=1)
-def wavelet_table():
-    """(grid, psi) pair: psi sampled at grid points spanning [0, 9]."""
-    return _cascade(quadrature_mirror(scaling_filter()))
-
-
-@lru_cache(maxsize=1)
-def scaling_table():
-    """(grid, phi) pair for the scaling function on [0, 9]."""
-    return _cascade(scaling_filter())
+    psi = v * 2.0 ** (CASCADE_LEVELS / 2.0)
+    return np.arange(psi.size) / 2.0 ** CASCADE_LEVELS, psi
 
 
 def mother_wavelet(x):

@@ -151,6 +151,11 @@ def test_config_validation():
         PipelineConfig(stage="fused_kl", top_n=20.5)
     with pytest.raises(InvariantViolation, match="n_lags"):
         PipelineConfig(stage="ac_beat", n_lags=10.5)
+    # fused_kl keeps at least one feature; stages that never select take any
+    for bad in (0, -5):
+        with pytest.raises(InvariantViolation, match="top_n"):
+            PipelineConfig(stage="fused_kl", top_n=bad)
+    PipelineConfig(stage="qrs30", top_n=0)
     PipelineConfig(c=1e-3, gamma=1e-9, max_beats_per_subject=1)
     PipelineConfig(c=100, top_n=np.int64(5), lam=np.float64(0.5), knn_k=2)
 
@@ -192,6 +197,7 @@ def pipeline_configs(draw):
         max_beats_per_subject=draw(st.integers(min_value=1)))
     assume(values["stage"] != "ac"
            or values["n_lags"] < values["window_s"] * 300.0 / 2)
+    assume(values["stage"] != "fused_kl" or values["top_n"] >= 1)
     return PipelineConfig(**values)
 
 
@@ -622,8 +628,9 @@ def test_sweep_featurizes_and_selects_once(fused_manifest, monkeypatch):
     cfg = PipelineConfig(stage="fused_kl", normalize=True,
                          max_beats_per_subject=15)
     assert sweep_top_n(fused_manifest, cfg, "rest_ex", 2, []) == []
-    # a count that is no integer fails its config before any record is read
-    for bad in ([20.5], [True], ["50"], [10, 20.5]):
+    # a count that is no integer, or below 1, fails its config before any
+    # record is read
+    for bad in ([20.5], [True], ["50"], [10, 20.5], [0], [-5, 50]):
         with pytest.raises(InvariantViolation, match="top_n"):
             sweep_top_n(fused_manifest, cfg, "rest_ex", 2, bad)
     assert calls == {"fused_features": 0, "select_features": 0, "svm_train": 0}

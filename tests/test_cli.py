@@ -10,7 +10,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from ecgid import features
+from ecgid import bench, features
 from ecgid.bench import REPORT_COLUMNS, PipelineConfig, parse_report_csv
 from ecgid.cli import cli_main
 from ecgid.errors import EcgidError, InvariantViolation
@@ -81,6 +81,37 @@ def test_detect_emits_indices(gen_dir, tmp_path, capsys):
     assert cli_main(["detect", "--record", record]) == 0
     stdout = capsys.readouterr().out
     assert stdout.strip().split("\n") == lines
+
+
+def test_detect_prints_the_peaks_a_run_uses(gen_dir, capsys):
+    record = os.path.join(gen_dir, "s02_post_exercise.txt")
+    assert cli_main(["detect", "--record", record, "--subject", "s02",
+                     "--condition", "post_exercise"]) == 0
+    det = bench.read_record(record, "s02", "post_exercise")[2]
+    assert capsys.readouterr().out.split() == [str(r) for r in det.r_peaks]
+    # and a run reads the same detection for the manifest's entry
+    run_det = bench._record({}, os.path.abspath(manifest_of(gen_dir)), "s02",
+                            "post_exercise")[2]
+    assert np.array_equal(run_det.r_peaks, det.r_peaks)
+
+
+def test_run_to_an_unwritable_path_exits_2(gen_dir, tmp_path, capsys):
+    assert cli_main(["run", "--manifest", manifest_of(gen_dir), "--protocol",
+                     "rest_rest", "--out", str(tmp_path)]) == 2
+    assert "cannot write %s" % tmp_path in capsys.readouterr().err
+
+
+def test_featurize_takes_the_stage_of_its_config(gen_dir, tmp_path):
+    cfg = tmp_path / "ac.cfg"
+    cfg.write_text("stage=ac\n", encoding="utf-8")
+    feats = str(tmp_path / "features.txt")
+    args = ["featurize", "--manifest", manifest_of(gen_dir), "--config",
+            str(cfg), "--out", feats]
+    assert cli_main(args) == 0
+    assert load_feature_matrix(feats).layout_id == "ac80"
+    # a --stage on the command line wins over the file's
+    assert cli_main(args + ["--stage", "qrs30"]) == 0
+    assert load_feature_matrix(feats).layout_id == "qrs30"
 
 
 def test_featurize_and_select(gen_dir, tmp_path):
@@ -160,6 +191,9 @@ def test_usage_errors_exit_1(capsys):
     assert "protocol" in err
     assert cli_main(["frobnicate"]) == 1
     assert cli_main([]) == 1
+    # detect takes the pipeline's band, dsp.BAND_HZ
+    assert cli_main(["detect", "--record", "x", "--lo", "0.5"]) == 1
+    assert "unrecognized arguments: --lo" in capsys.readouterr().err
 
 
 def test_data_errors_exit_2(tmp_path, capsys):
@@ -376,12 +410,8 @@ def fuzzed_records(draw):
     period = draw(st.integers(40, 150))  # 0.4-1.5 s beats at 100 Hz
     body = ["1.0" if i % period == 0 else "0.0"
             for i in range(draw(st.integers(150, 1200)))]
-    band = draw(st.sampled_from([("0.5", "40"), ("5", "15"), ("10", "40"),
-                                 ("40", "10"), ("0", "40"), ("nan", "40"),
-                                 ("0.5", "50")]))
     return ({"record.txt": draw(mutated(["fs=100"] + body))},
-            ["detect", "--record", "record.txt", "--lo", band[0],
-             "--hi", band[1]])
+            ["detect", "--record", "record.txt"])
 
 
 @st.composite

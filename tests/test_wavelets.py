@@ -8,13 +8,34 @@ import pytest
 
 from ecgid.errors import InvariantViolation
 from ecgid.wavelets import (
+    CASCADE_LEVELS,
     mother_wavelet,
     quadrature_mirror,
     scaling_filter,
-    scaling_table,
     wavelet_kernel,
     wavelet_table,
 )
+
+
+def cascade(v):
+    """(grid, f): the cascade algorithm from first-level coefficients v,
+    upsampled and convolved with the scaling filter down to the finest
+    dyadic level."""
+    h = scaling_filter()
+    for _ in range(CASCADE_LEVELS - 1):
+        up = np.zeros(2 * v.size - 1)
+        up[::2] = v
+        v = np.convolve(up, h)
+    f = v * 2.0 ** (CASCADE_LEVELS / 2.0)
+    return np.arange(f.size) / 2.0 ** CASCADE_LEVELS, f
+
+
+def test_wavelet_table_is_the_cascade_of_the_highpass_filter():
+    # ties the scaling-function checks below to the table the package uses
+    grid, psi = wavelet_table()
+    want_grid, want_psi = cascade(quadrature_mirror(scaling_filter()))
+    assert np.array_equal(grid, want_grid)
+    assert np.array_equal(psi, want_psi)
 
 
 def test_filter_orthonormality():
@@ -42,7 +63,7 @@ def test_minimum_phase_orientation():
 
 def test_tables_integrals_and_partition_of_unity():
     grid, psi = wavelet_table()
-    _, phi = scaling_table()
+    _, phi = cascade(scaling_filter())  # the scaling function
     scale = 2.0 ** 8
     assert abs(np.sum(phi) / scale - 1.0) < 1e-9
     assert abs(np.sum(psi) / scale) < 1e-9

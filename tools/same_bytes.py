@@ -11,14 +11,16 @@ PYTHONPATH and one BLAS thread, then compares the outputs:
   sweep over 50-800 retained features), dumped with `dataclasses.asdict`,
   so every `state_fingerprint` and confusion matrix is compared;
 - with `diff -r`, the files the CLI writes for `gen --subjects 5 --seed 42
-  --rest-duration 60 --ex-duration 45`, `featurize` and `select` on it,
-  `run` on all four protocols (plus fused and fused_kl on rest_ex),
-  `sweep 50,100,200` (default and a z-scored config), and `report` in
-  csv and markdown.
+  --rest-duration 60 --ex-duration 45`, `detect` on both records of one
+  subject, `featurize` and `select` on the cohort, `run` on all four
+  protocols (plus fused and fused_kl on rest_ex), `sweep 50,100,200`
+  (default and a z-scored config), and `report` in csv and markdown.
 
 It also prints each checkout's `src/ecgid/*.py` line count, as `wc -l`
-counts it, and its number of settable values, the fields of
-`PipelineConfig`, each with the change's delta against the base.
+counts it, and its settable values: the fields of `PipelineConfig`, and
+the option strings of each CLI subcommand, which the checkout's own
+process reads from its `build_parser()`. Each comes with the change's
+delta against the base, and the options with those removed and added.
 
 Prints the first difference and exits 1; exits 0 when everything is
 identical and 2 when a checkout's workload fails. The two checkouts run
@@ -72,6 +74,7 @@ def _criterion_6_reports(out_dir):
 
 def _cli_artifacts(d):
     from ecgid.cli import cli_main
+    from ecgid.ingest import CONDITIONS
 
     def cli(*args):
         if cli_main(list(args)) != 0:
@@ -82,6 +85,10 @@ def _cli_artifacts(d):
     cli("gen", "--subjects", "5", "--seed", "42", "--out", gen,
         "--rest-duration", "60", "--ex-duration", "45")
     manifest = os.path.join(gen, "manifest.txt")
+    for cond in CONDITIONS:
+        cli("detect", "--record", os.path.join(gen, "s01_%s.txt" % cond),
+            "--subject", "s01", "--condition", cond,
+            "--out", os.path.join(d, "peaks_s01_%s.txt" % cond))
     cli("featurize", "--manifest", manifest, "--stage", "qrs30",
         "--out", os.path.join(d, "qrs30.csv"))
     cli("select", "--features", os.path.join(d, "qrs30.csv"),
@@ -107,13 +114,17 @@ def _cli_artifacts(d):
             "--out", os.path.join(d, "report.%s" % fmt))
 
 
-def _workload(out_dir, src):
-    """Runs inside the checked process: write reports.json and cli/."""
+def _import_checkout(src):
     import ecgid
 
     if not os.path.abspath(ecgid.__file__).startswith(src + os.sep):
         raise SystemExit("imported %s, not the checkout's %s"
                          % (ecgid.__file__, src))
+
+
+def _workload(out_dir, src):
+    """Runs inside the checked process: write reports.json and cli/."""
+    _import_checkout(src)
     with open(os.path.join(out_dir, "reports.json"), "w",
               encoding="utf-8") as fh:
         json.dump(_criterion_6_reports(out_dir), fh, indent=1,
@@ -121,18 +132,44 @@ def _workload(out_dir, src):
     _cli_artifacts(os.path.join(out_dir, "cli"))
 
 
-def _run_checkout(checkout, out_dir):
+def _print_options(src):
+    """Runs inside the checked process: print each CLI subcommand's option
+    strings as JSON."""
+    _import_checkout(src)
+    from ecgid.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    json.dump({name: sorted(s for a in p._actions for s in a.option_strings)
+               for name, p in sub.choices.items()}, sys.stdout)
+
+
+def _checkout_process(checkout, *args, **kwargs):
+    """Run this script with args in a fresh process that imports the
+    checkout's `src` first and uses one BLAS thread."""
     src = os.path.join(os.path.abspath(checkout), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                 "MKL_NUM_THREADS"):
         env[var] = "1"
+    return subprocess.run([sys.executable, HERE, *args, "--src", src],
+                          env=env, **kwargs)
+
+
+def _cli_options(checkout):
+    """(subcommand, option string) pairs of the checkout's CLI."""
+    proc = _checkout_process(checkout, "--options", capture_output=True,
+                             text=True, check=True)
+    return {(cmd, opt) for cmd, opts in json.loads(proc.stdout).items()
+            for opt in opts}
+
+
+def _run_checkout(checkout, out_dir):
     os.makedirs(out_dir)
     t0 = time.monotonic()
-    proc = subprocess.run([sys.executable, HERE, "--workload", out_dir,
-                           "--src", src], env=env, cwd=out_dir,
-                          stdout=subprocess.DEVNULL)
+    proc = _checkout_process(checkout, "--workload", out_dir, cwd=out_dir,
+                             stdout=subprocess.DEVNULL)
     print("%s: workload %s in %.0f s"
           % (checkout, "ok" if proc.returncode == 0 else "FAILED",
              time.monotonic() - t0))
@@ -180,10 +217,15 @@ def main(argv=None):
     parser.add_argument("--work", help="directory for the outputs (kept); "
                         "default: a temporary directory, removed")
     parser.add_argument("--workload", help=argparse.SUPPRESS)
+    parser.add_argument("--options", action="store_true",
+                        help=argparse.SUPPRESS)
     parser.add_argument("--src", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.workload:
         _workload(args.workload, args.src)
+        return 0
+    if args.options:
+        _print_options(args.src)
         return 0
     if not args.base:
         parser.error("--base is required")
@@ -194,6 +236,11 @@ def main(argv=None):
         base, change = (count(c) for c in checkouts.values())
         print("%s: base %d, change %d (%+d)"
               % (label, base, change, change - base))
+    base, change = (_cli_options(c) for c in checkouts.values())
+    print("CLI options: base %d, change %d (%+d); removed: %s; added: %s"
+          % (len(base), len(change), len(change) - len(base),
+             ", ".join(" ".join(o) for o in sorted(base - change)) or "none",
+             ", ".join(" ".join(o) for o in sorted(change - base)) or "none"))
     work = args.work or tempfile.mkdtemp(prefix="same_bytes_")
     try:
         outs = {}
