@@ -211,16 +211,19 @@ def _conditions(protocol):
 
 
 def split_protocol(m, protocol):
-    """Train/test split of m's rows; _split_records states the rules."""
+    """Train/test split of m's rows; _split_parts states the rules."""
     rows = {}  # Python keys: numpy strings drop an id's trailing NULs
     for i, key in enumerate(zip(m.subject_ids, m.conditions)):
         rows.setdefault(key, []).append(i)
-    return _split_records([_features.take_rows(m, rows[k])
-                           for k in sorted(rows)], protocol)
+    train, test, dropped = _split_parts([_features.take_rows(m, rows[k])
+                                         for k in sorted(rows)], protocol)
+    return SplitResult(_features.concat_matrices(train),
+                       _features.concat_matrices(test), len(test), dropped)
 
 
-def _split_records(parts, protocol):
-    """Per-subject chronological train/test split of one matrix per record.
+def _split_parts(parts, protocol):
+    """Per-subject chronological train/test split of one matrix per record:
+    (train parts, test parts, dropped subjects), one part per kept subject.
 
     rest_rest: first 70% of rest rows train, last 30% test.
     ex_first70: same over post-exercise rows.
@@ -244,8 +247,7 @@ def _split_records(parts, protocol):
     if not kept:
         raise EmptyCohort("no subject kept %d train / %d test rows under %s"
                           % (MIN_TRAIN_ROWS, MIN_TEST_ROWS, protocol))
-    train, test = (_features.concat_matrices(side) for side in zip(*kept))
-    return SplitResult(train, test, len(kept), tuple(dropped))
+    return (*zip(*kept), tuple(dropped))
 
 
 # ===== cohort featurization (cached) ======================================
@@ -417,7 +419,7 @@ def state_fingerprint(state):
 
     def put(tag, arr):
         h.update(tag.encode("utf-8"))
-        h.update(np.ascontiguousarray(arr, dtype=float).tobytes())
+        h.update(np.ascontiguousarray(arr, dtype=float))  # no copy
 
     sel = state.selection
     if sel is not None:
@@ -509,8 +511,10 @@ def _run_top_ns(manifest_path, configs, protocol, seed, cache):
     the stacked auxiliary records; each top_n keeps a prefix of the one
     ranking of the weights.
 
-    No step stacks the whole cohort: the split stacks each kept record's
-    rows (for fused_kl, its selected columns) into train and test."""
+    No step stacks the whole cohort. The kept records' rows (for fused_kl,
+    their selected columns) are stacked into train rows, which are fitted
+    and classified; the test rows are stacked only after the run lets its
+    train stack go."""
     if not configs:
         return []
     config = configs[0]
@@ -533,27 +537,30 @@ def _run_top_ns(manifest_path, configs, protocol, seed, cache):
         parts = [p for p in parts if p.subject_ids[0] not in aux_sids]
     reports = []
     for cfg, selection in zip(configs, selections):
-        split = _split_records(parts if selection is None else [
+        train, test, dropped = _split_parts(parts if selection is None else [
             _select.apply_selection(selection, p) for p in parts], protocol)
-        state = fit_pipeline_state(split.train, cfg, selection)
-        train_pred = predict_with_state(state, split.train)
-        test_pred = predict_with_state(state, split.test)
+        n_subjects, train = len(test), _features.concat_matrices(train)
+        state = fit_pipeline_state(train, cfg, selection)
+        train_acc = _classify.accuracy(predict_with_state(state, train),
+                                       train.subject_ids)
+        n_train, train = train.n_rows, None  # lets the train stack go
+        test = _features.concat_matrices(test)
+        test_pred = predict_with_state(state, test)
         reports.append(ExperimentReport(
             pipeline=cfg.pipeline_id,
             protocol=protocol,
-            train_accuracy=_classify.accuracy(train_pred,
-                                              split.train.subject_ids),
-            test_accuracy=_classify.accuracy(test_pred, split.test.subject_ids),
+            train_accuracy=train_acc,
+            test_accuracy=_classify.accuracy(test_pred, test.subject_ids),
             subject_majority_accuracy=subject_majority_accuracy(
-                test_pred, split.test.subject_ids),
-            n_subjects=split.n_subjects,
-            train_beats=split.train.n_rows,
-            test_beats=split.test.n_rows,
+                test_pred, test.subject_ids),
+            n_subjects=n_subjects,
+            train_beats=n_train,
+            test_beats=test.n_rows,
             skipped_beats=skipped,
-            dropped_subjects=split.dropped_subjects,
+            dropped_subjects=dropped,
             converged=state.svm is None or state.svm.all_converged,
             seed=seed,
-            confusion=_confusion(test_pred, split.test.subject_ids),
+            confusion=_confusion(test_pred, test.subject_ids),
             state_fingerprint=state_fingerprint(state),
         ))
     return reports

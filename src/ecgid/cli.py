@@ -106,7 +106,11 @@ def _cmd_run(args):
 
 
 def _cmd_sweep(args):
-    cfg = replace(_load_config(args), stage="fused_kl")
+    cfg = _load_config(args)
+    if args.config and cfg.stage != "fused_kl":
+        print("warning: %s: stage %s ignored, sweep runs fused_kl"
+              % (args.config, cfg.stage), file=sys.stderr)
+    cfg = replace(cfg, stage="fused_kl")
     reports = bench.sweep_top_n(args.manifest, cfg, args.protocol, args.seed,
                                 args.top_n_list)
     _write_text(args.out, bench.render_report(reports, args.format))

@@ -212,9 +212,8 @@ def detect_r_peaks(x, fs_hz):
         accepted.append(pos)
         accepted_thr.append(npki + 0.25 * (spki - npki))
 
-    for ci, i in enumerate(candidates):
-        pki = cand_mwi[ci]
-        fpk = fpeaks[ci]
+    for ci, (i, pki, fpk) in enumerate(zip(
+            candidates.tolist(), cand_mwi.tolist(), fpeaks.tolist())):
         thr1 = npki + 0.25 * (spki - npki)
         thrf1 = npkf + 0.25 * (spkf - npkf)
 
@@ -235,7 +234,7 @@ def detect_r_peaks(x, fs_hz):
         if accepted and i - accepted[-1] < refractory_n:
             continue
         if pki > thr1 and fpk > thrf1:
-            accept(int(i), pki, fpk, weight=0.125)
+            accept(i, pki, fpk, weight=0.125)
         else:
             npki = 0.125 * pki + 0.875 * npki
             npkf = 0.125 * fpk + 0.875 * npkf

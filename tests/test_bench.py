@@ -1,6 +1,7 @@
 """Tests for the experiment harness: config, splits, runs, reports."""
 
 import dataclasses
+import hashlib
 import inspect
 import os
 import tracemalloc
@@ -324,20 +325,28 @@ def _assert_same_split(got, want):
     assert got.n_subjects == want.n_subjects
 
 
+def _stacked_split(parts, protocol):
+    """bench._split_parts with each side stacked, as a run stacks them."""
+    train, test, dropped = bench._split_parts(parts, protocol)
+    assert len(train) == len(test)  # one part per side of a kept subject
+    return bench.SplitResult(concat_matrices(train), concat_matrices(test),
+                             len(test), dropped)
+
+
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_split_matches_mask_oracle(protocol):
     cohort, parts = _oracle_records()
     want = split_oracle.split_protocol(cohort, protocol)
     assert want.dropped_subjects  # every protocol drops someone here
     _assert_same_split(split_protocol(cohort, protocol), want)
-    _assert_same_split(bench._split_records(parts, protocol), want)
+    _assert_same_split(_stacked_split(parts, protocol), want)
     # a run selects columns per record before splitting; the gate selects
     # them on the stacked cohort
     aux = concat_matrices([p for p in parts if p.subject_ids[0] < "s02"])
     weights = select_features(aux, 0.3, 4)
     _assert_same_split(
-        bench._split_records([apply_selection(weights, p) for p in parts],
-                             protocol),
+        _stacked_split([apply_selection(weights, p) for p in parts],
+                       protocol),
         split_oracle.split_protocol(apply_selection(weights, cohort),
                                     protocol))
 
@@ -664,6 +673,94 @@ def test_warm_fused_run_keeps_one_copy_of_its_rows(fused_manifest):
     finally:
         tracemalloc.stop()
     assert peak < 2.75 * row_bytes, peak / row_bytes
+
+
+def test_warm_fused_run_never_holds_its_train_and_test_stacks(fused_manifest):
+    # Beside the bound above: it reads 2.07 here once the test rows are
+    # stacked only after the training rows are fitted and classified, and
+    # 2.54 while both stacks were alive through the fit and predictions.
+    cfg = PipelineConfig(stage="fused", normalize=True)
+    cache = {}
+    report = run_pipeline(fused_manifest, cfg, "rest_ex", 0, cache=cache)
+    dim = cohort_matrix(fused_manifest, cfg, "rest_ex", 0, cache)[0].dim
+    row_bytes = (report.train_beats + report.test_beats) * dim * 8
+    tracemalloc.start()
+    try:
+        run_pipeline(fused_manifest, cfg, "rest_ex", 0, cache=cache)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.3 * row_bytes, peak / row_bytes
+
+
+@pytest.mark.parametrize("cfg,protocol,top_ns", [
+    (PipelineConfig(stage="fused", normalize=True), "rest_ex", None),
+    (PipelineConfig(stage="qrs30", reduction="pca"), "rest_rest", None),
+    (PipelineConfig(stage="fused_kl", normalize=True, top_n=10), "rest_ex",
+     [10, 20]),
+], ids=["fused", "qrs30", "fused_kl-sweep"])
+def test_run_stacks_its_test_rows_after_classifying_its_training_rows(
+        fused_manifest, monkeypatch, cfg, protocol, top_ns):
+    events = []
+    stack, predict = bench._features.concat_matrices, bench.predict_with_state
+
+    def logged_stack(parts):
+        m = stack(parts)
+        events.append(("stack", m.n_rows))
+        return m
+
+    def logged_predict(state, m):
+        events.append(("predict", m.n_rows))
+        return predict(state, m)
+
+    monkeypatch.setattr(bench._features, "concat_matrices", logged_stack)
+    monkeypatch.setattr(bench, "predict_with_state", logged_predict)
+    if top_ns is None:
+        reports = [run_pipeline(fused_manifest, cfg, protocol, 2)]
+    else:
+        reports = sweep_top_n(fused_manifest, cfg, protocol, 2, top_ns)
+        del events[0]  # the auxiliary records, stacked for selection
+    want = []
+    for r in reports:
+        assert r.train_beats != r.test_beats  # so the events tell them apart
+        want += [("stack", r.train_beats), ("predict", r.train_beats),
+                 ("stack", r.test_beats), ("predict", r.test_beats)]
+    assert events == want
+
+
+def test_fingerprint_hashes_each_array_in_place():
+    rng = np.random.default_rng(4)
+    block = rng.normal(size=(12, 10))
+    view = block[::2, ::3]  # neither C- nor F-contiguous
+    assert not (view.flags.c_contiguous or view.flags.f_contiguous)
+    ids = ("s1", "s1", "s2", "s2", "s3", "s3")
+    zscore = bench._features.ZScoreParams(block[0, ::2], np.abs(block[1, ::2]))
+    state = bench.FittedState(
+        PipelineConfig(classifier="knn"), zscore=zscore,
+        knn_train=FeatureMatrix(view, ids, ("rest",) * 6, "toy"))
+    # the digest of every array's C-order bytes, as .tobytes() gives them
+    h = hashlib.sha256()
+    for tag, arr in (("z.mean", zscore.mean), ("z.std", zscore.std),
+                     ("knn.x", view)):
+        h.update(tag.encode("utf-8"))
+        h.update(np.ascontiguousarray(arr, dtype=float).tobytes())
+    h.update("|".join(ids).encode("utf-8"))
+    assert state_fingerprint(state) == h.hexdigest()
+    # a contiguous array is hashed where it lies, with no copy of its bytes
+    big = rng.normal(size=(2000, 250))
+    state = bench.FittedState(
+        PipelineConfig(classifier="knn"),
+        knn_train=FeatureMatrix(big, ("s1",) * 2000, ("rest",) * 2000, "toy"))
+    want = hashlib.sha256(b"knn.x" + big.tobytes()
+                          + "|".join(("s1",) * 2000).encode("utf-8"))
+    tracemalloc.start()
+    try:
+        got = state_fingerprint(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want.hexdigest()
+    assert peak < big.nbytes / 4, peak / big.nbytes
 
 
 def test_sweep_requires_fused_kl(small_manifest):

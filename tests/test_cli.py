@@ -333,6 +333,32 @@ def test_sweep_cli(tmp_path):
         "fused_kl(0.3,10)+zscore+svm", "fused_kl(0.3,5)+zscore+svm"]
 
 
+def test_sweep_warns_that_it_ignores_the_stage_of_its_config(tmp_path,
+                                                            capsys):
+    d = str(tmp_path / "cohort4")
+    assert cli_main(["gen", "--subjects", "4", "--seed", "9", "--out", d,
+                     "--rest-duration", "30", "--ex-duration", "20"]) == 0
+    outs, errs = {}, {}
+    for stage in ("qrs30", "fused_kl"):
+        cfg = tmp_path / ("%s.cfg" % stage)
+        cfg.write_text("stage=%s\nmax_beats_per_subject=15\n" % stage,
+                       encoding="utf-8")
+        out = tmp_path / ("%s.csv" % stage)
+        capsys.readouterr()
+        assert cli_main(["sweep", "--manifest",
+                         os.path.join(d, "manifest.txt"), "--protocol",
+                         "rest_ex", "--config", str(cfg), "--top-n-list", "5",
+                         "--out", str(out)]) == 0
+        outs[stage], errs[stage] = out.read_bytes(), capsys.readouterr().err
+    # the sweep runs fused_kl either way, and says so once for qrs30
+    assert outs["qrs30"] == outs["fused_kl"]
+    assert b"fused_kl(0.3,5)+svm" in outs["qrs30"]
+    assert errs["fused_kl"] == ""
+    lines = errs["qrs30"].splitlines()
+    assert len(lines) == 1 and lines[0].startswith("warning: ")
+    assert "stage qrs30" in lines[0] and "qrs30.cfg" in lines[0]
+
+
 @pytest.mark.parametrize("n_subjects", [1, 2])
 def test_fused_kl_with_one_auxiliary_subject_exits_2(tmp_path, capsys,
                                                      monkeypatch, n_subjects):
