@@ -145,11 +145,11 @@ _PARSERS = {bool: lambda v: _BOOL_WORDS[v.lower()], int: int, float: float,
             str: str}
 
 
-def parse_config(text):
+def parse_config(text, base=PipelineConfig()):
     """Build a PipelineConfig from flat `key=value` lines.
 
-    Blank lines and `#` comments are ignored; unknown keys are rejected.
-    """
+    Blank lines and `#` comments are ignored; unknown keys are rejected;
+    keys the text does not set keep `base`'s values."""
     types = {f.name: f.type for f in fields(PipelineConfig)}
     values = {}
     for i, raw in enumerate(text.split("\n"), start=1):
@@ -169,7 +169,7 @@ def parse_config(text):
         except (KeyError, ValueError):
             raise MalformedFile("config line %d: bad value %r for %s"
                                 % (i, val, key))
-    return PipelineConfig(**values)
+    return replace(base, **values)
 
 
 def config_to_text(config):
@@ -512,9 +512,10 @@ def _run_top_ns(manifest_path, configs, protocol, seed, cache):
     ranking of the weights.
 
     No step stacks the whole cohort. The kept records' rows (for fused_kl,
-    their selected columns) are stacked into train rows, which are fitted
-    and classified; the test rows are stacked only after the run lets its
-    train stack go."""
+    their selected columns) are stacked into train rows, fitted and
+    classified; the test rows are stacked after the train stack is let go,
+    but their parts (copies, unless the run is rest_ex without a selection)
+    live through the fit."""
     if not configs:
         return []
     config = configs[0]

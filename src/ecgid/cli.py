@@ -41,11 +41,9 @@ def _write_text(path, text):
         _write_lines(path, [text[:-1]])
 
 
-def _load_config(args):
-    if args.config:
-        cfg = bench.parse_config(_read_text(args.config))
-    else:
-        cfg = bench.PipelineConfig()
+def _load_config(args, base=bench.PipelineConfig()):
+    cfg = bench.parse_config(_read_text(args.config), base) \
+        if args.config else base
     if getattr(args, "stage", None):  # sweep has no --stage
         cfg = replace(cfg, stage=args.stage)
     return cfg
@@ -106,11 +104,12 @@ def _cmd_run(args):
 
 
 def _cmd_sweep(args):
-    cfg = _load_config(args)
-    if args.config and cfg.stage != "fused_kl":
+    # Unset keys keep fused_kl's values: only a stage the file names warns.
+    cfg = _load_config(args, bench.PipelineConfig(stage="fused_kl"))
+    if cfg.stage != "fused_kl":
         print("warning: %s: stage %s ignored, sweep runs fused_kl"
               % (args.config, cfg.stage), file=sys.stderr)
-    cfg = replace(cfg, stage="fused_kl")
+        cfg = replace(cfg, stage="fused_kl")
     reports = bench.sweep_top_n(args.manifest, cfg, args.protocol, args.seed,
                                 args.top_n_list)
     _write_text(args.out, bench.render_report(reports, args.format))

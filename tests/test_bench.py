@@ -112,6 +112,15 @@ def test_config_parse_ignores_comments_and_blanks():
     assert cfg.normalize is True
 
 
+def test_config_parse_keeps_the_base_values_of_unset_keys():
+    base = PipelineConfig(stage="fused_kl", top_n=7)
+    assert parse_config("normalize=on\n", base) == dataclasses.replace(
+        base, normalize=True)
+    assert parse_config("stage=cwt\n", base) == dataclasses.replace(
+        base, stage="cwt")
+    assert parse_config("", base) == base
+
+
 def test_config_parse_rejects_bad_lines():
     with pytest.raises(MalformedFile):
         parse_config("stage qrs30\n")

@@ -339,9 +339,10 @@ def test_sweep_warns_that_it_ignores_the_stage_of_its_config(tmp_path,
     assert cli_main(["gen", "--subjects", "4", "--seed", "9", "--out", d,
                      "--rest-duration", "30", "--ex-duration", "20"]) == 0
     outs, errs = {}, {}
-    for stage in ("qrs30", "fused_kl"):
+    for stage in ("qrs30", "fused_kl", "unset"):
         cfg = tmp_path / ("%s.cfg" % stage)
-        cfg.write_text("stage=%s\nmax_beats_per_subject=15\n" % stage,
+        cfg.write_text("max_beats_per_subject=15\n" if stage == "unset" else
+                       "stage=%s\nmax_beats_per_subject=15\n" % stage,
                        encoding="utf-8")
         out = tmp_path / ("%s.csv" % stage)
         capsys.readouterr()
@@ -350,10 +351,11 @@ def test_sweep_warns_that_it_ignores_the_stage_of_its_config(tmp_path,
                          "rest_ex", "--config", str(cfg), "--top-n-list", "5",
                          "--out", str(out)]) == 0
         outs[stage], errs[stage] = out.read_bytes(), capsys.readouterr().err
-    # the sweep runs fused_kl either way, and says so once for qrs30
-    assert outs["qrs30"] == outs["fused_kl"]
+    # the sweep runs fused_kl each time, and says so once for the file that
+    # names qrs30; a file without a stage line is not warned about
+    assert outs["qrs30"] == outs["fused_kl"] == outs["unset"]
     assert b"fused_kl(0.3,5)+svm" in outs["qrs30"]
-    assert errs["fused_kl"] == ""
+    assert errs["fused_kl"] == errs["unset"] == ""
     lines = errs["qrs30"].splitlines()
     assert len(lines) == 1 and lines[0].startswith("warning: ")
     assert "stage qrs30" in lines[0] and "qrs30.cfg" in lines[0]

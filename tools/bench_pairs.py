@@ -1,12 +1,13 @@
 """Run the benchmark in alternating base/change pairs and summarize them.
 
     python tools/bench_pairs.py --base PATH/TO/PARENT/CHECKOUT \
-        --out BENCH_N.json [--pairs 10] [--seconds 15] [--seed 0]
+        --out BENCH_N.json
 
-Each pair runs `python3 perfbench/run.py --seconds 15 --seed 0` once in
-the base checkout and once in this one, each in its own checkout
-directory with one BLAS thread. Even pairs run the base first, odd pairs
-the change. The output file holds:
+The protocol is fixed, so that every BENCH_N.json compares alike: 10
+pairs, each running `python3 perfbench/run.py --seconds 15 --seed 0` once
+in the base checkout and once in this one, each in its own checkout
+directory (perfbench/run.py runs with one BLAS thread). Even pairs run
+the base first, odd pairs the change. The output file holds:
 
 - `description`, `parent_commit` (the base's git HEAD, or null),
   `change_tree` (the git tree of this checkout's files, untracked ones
@@ -43,6 +44,7 @@ import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 METRICS = ("setup_s", "run_s", "peak_rss_mb")  # all: lower is better
+PAIRS, SECONDS, SEED = 10, 15.0, 0
 ROUNDS = re.compile(r"^perfbench: (\S+) setups \[.*\] s, rounds \[(.*)\] s$",
                     re.M)
 
@@ -71,16 +73,12 @@ def _blas():
         return "unknown"
 
 
-def _run(checkout, seconds, seed):
+def _run(checkout):
     """One perfbench run: {workload: result with its `rounds`}, or None."""
-    env = dict(os.environ)
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                "MKL_NUM_THREADS"):
-        env[var] = "1"
     proc = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"), "--seconds",
-         str(seconds), "--seed", str(seed)],
-        cwd=checkout, env=env, capture_output=True, text=True)
+         str(SECONDS), "--seed", str(SEED)],
+        cwd=checkout, capture_output=True, text=True)
     try:
         results = json.loads(proc.stdout.strip().split("\n")[-1])
     except ValueError:
@@ -123,18 +121,15 @@ def main(argv=None):
     parser.add_argument("--base", required=True,
                         help="checkout to compare against")
     parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=15.0)
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     checkouts = {"parent": os.path.abspath(args.base), "change": ROOT}
     pairs = []
-    for i in range(args.pairs):
+    for i in range(PAIRS):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"pair": i, "first": order[0]}
         for side in order:
             t0 = time.monotonic()
-            pair[side] = _run(checkouts[side], args.seconds, args.seed)
+            pair[side] = _run(checkouts[side])
             if pair[side] is None:
                 print("pair %d: the %s run gave no result" % (i, side),
                       file=sys.stderr)
@@ -160,7 +155,7 @@ def main(argv=None):
             "tools/bench_pairs.py. Even pairs ran the parent first. "
             "Quartiles are numpy's linear 25th and 75th percentiles. A win "
             "is a pair where that side's value is lower; ties count for "
-            "neither side." % (args.pairs, args.seconds, args.seed)),
+            "neither side." % (PAIRS, SECONDS, SEED)),
         "parent_commit": _git(checkouts["parent"], "rev-parse", "HEAD"),
         "change_tree": _work_tree(ROOT),
         "nproc": len(os.sched_getaffinity(0)),
