@@ -6,32 +6,15 @@ Mirrors the command line:
     ecgid run --manifest <dir>/manifest.txt --protocol rest_rest ...
 """
 
-import os
 import tempfile
 
-from ecgid import (
-    DatasetManifest,
-    PipelineConfig,
-    build_cohort,
-    render_report,
-    run_pipeline,
-    save_manifest,
-    save_record,
-)
+from ecgid import PipelineConfig, render_report, run_pipeline, write_cohort
 
 
 def main():
     out = tempfile.mkdtemp(prefix="ecgid_demo_")
-    cohort = build_cohort(5, seed=42, rest_duration_s=60.0,
-                          ex_duration_s=45.0, noise_on=True)
-    entries = []
-    for record, _truth in cohort:
-        rel = "%s_%s.txt" % (record.subject_id, record.condition)
-        save_record(record, os.path.join(out, rel))
-        entries.append((record.subject_id, record.condition, rel,
-                        record.duration_s))
-    manifest = os.path.join(out, "manifest.txt")
-    save_manifest(DatasetManifest(tuple(entries), seed=42), manifest)
+    manifest = write_cohort(out, 5, seed=42, rest_duration_s=60.0,
+                            ex_duration_s=45.0)
     print("cohort written to %s" % out)
 
     config = PipelineConfig(stage="qrs30", reduction="pca")

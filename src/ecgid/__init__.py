@@ -17,6 +17,7 @@ from .ingest import (
     save_manifest,
     save_record,
     synthesize_record,
+    write_cohort,
 )
 from .dsp import (
     FilterCoefficients,
@@ -79,7 +80,7 @@ __all__ = [
     "EcgidError",
     "DatasetManifest", "EcgRecord", "build_cohort", "derive_seed",
     "generate_subject_params", "load_manifest", "load_record",
-    "save_manifest", "save_record", "synthesize_record",
+    "save_manifest", "save_record", "synthesize_record", "write_cohort",
     "FilterCoefficients", "design_butterworth_bandpass",
     "filter_zero_phase", "preprocess_ecg",
     "QrsDetection", "detect_r_peaks",

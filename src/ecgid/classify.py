@@ -321,6 +321,9 @@ def svm_train(m, c=100.0, gamma=1.0, tol=1e-3, max_epochs=200):
     -------
     SvmModel
     """
+    for name, value in (("c", c), ("gamma", gamma)):
+        if not 0 < value < np.inf:
+            raise InvariantViolation("%s must be finite and > 0" % name)
     labels = list(m.subject_ids)
     classes = tuple(sorted(set(labels)))
     if len(classes) < 2:
@@ -408,8 +411,8 @@ def knn_predict(train, test, k=1):
     if train.dim != test.dim:
         raise DimensionMismatch(
             "train dim %d vs test dim %d" % (train.dim, test.dim))
-    if not 1 <= k <= train.n_rows:
-        raise InvariantViolation("k must lie in [1, n_train]")
+    if not (isinstance(k, (int, np.integer)) and 1 <= k <= train.n_rows):
+        raise InvariantViolation("k must be an integer in [1, n_train]")
     classes = tuple(sorted(set(train.subject_ids)))
     col_of = {cls: i for i, cls in enumerate(classes)}
     train_cols = np.array([col_of[s] for s in train.subject_ids])

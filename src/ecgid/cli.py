@@ -5,7 +5,6 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 """
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 
@@ -14,13 +13,10 @@ from .errors import EcgidError
 from .features import load_feature_matrix, save_feature_matrix
 from .ingest import (
     CONDITIONS,
-    DatasetManifest,
     _read_text,
     _write_lines,
-    build_cohort,
     load_manifest,
-    save_manifest,
-    save_record,
+    write_cohort,
 )
 from .select import save_selection_weights, select_features
 
@@ -52,22 +48,8 @@ def _load_config(args, base=bench.PipelineConfig()):
 # ===== subcommands ========================================================
 
 def _cmd_gen(args):
-    noise_on = args.noise == "on"
-    cohort = build_cohort(args.subjects, args.seed,
-                          rest_duration_s=args.rest_duration,
-                          ex_duration_s=args.ex_duration,
-                          noise_on=noise_on)
-    os.makedirs(args.out, exist_ok=True)
-    entries = []
-    for record, _truth in cohort:
-        rel = "%s_%s.txt" % (record.subject_id, record.condition)
-        save_record(record, os.path.join(args.out, rel))
-        entries.append((record.subject_id, record.condition, rel,
-                        record.duration_s))
-    manifest_path = os.path.join(args.out, "manifest.txt")
-    save_manifest(DatasetManifest(tuple(entries), seed=args.seed),
-                  manifest_path)
-    print(manifest_path)
+    print(write_cohort(args.out, args.subjects, args.seed, args.rest_duration,
+                       args.ex_duration, args.noise == "on"))
     return 0
 
 

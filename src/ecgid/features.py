@@ -18,6 +18,7 @@ from .errors import (
     DimensionMismatch,
     InvariantViolation,
     MalformedFile,
+    SignalTooShort,
     TooFewRows,
     WindowTooLong,
 )
@@ -100,6 +101,8 @@ class FeatureMatrix:
 def take_rows(m, index):
     """Row-subset preserving labels and layout."""
     index = np.asarray(index)
+    if index.ndim != 1:
+        raise InvariantViolation("row index is %d-D, not 1-D" % index.ndim)
     if not index.size:
         raise InvariantViolation("no row index to take")
     if index.dtype.kind not in "iu":
@@ -139,6 +142,9 @@ def concat_matrices(parts):
 def stft_of_window(w):
     """Concatenated one-sided magnitudes of Hamming-weighted frames."""
     w = np.asarray(w, dtype=float)
+    if w.shape[-1] < STFT_WINDOW_N:
+        raise SignalTooShort("STFT needs a window of >= %d samples, got %d"
+                             % (STFT_WINDOW_N, w.shape[-1]))
     starts = np.arange(0, w.shape[-1] - STFT_WINDOW_N + 1, STFT_HOP)
     frames = w[..., starts[:, None] + np.arange(STFT_WINDOW_N)]
     frames = frames * hamming_window(STFT_WINDOW_N)
@@ -164,6 +170,8 @@ def cwt_of_window(w):
     """Wavelet coefficients at integer scales 1..CWT_SCALES, concatenated."""
     w = np.asarray(w, dtype=float)
     n = w.shape[-1]
+    if n < 1:
+        raise SignalTooShort("wavelet transform of an empty window")
     nfft, spectra = _cwt_spectra(n)
     full = np.fft.irfft(np.fft.rfft(w, nfft)[..., None, :] * spectra, nfft)
     return full[..., :n].reshape(w.shape[:-1] + (CWT_SCALES * n,))

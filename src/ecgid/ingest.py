@@ -9,6 +9,7 @@ additionally scales P amplitude up and T amplitude down by fixed factors.
 
 import hashlib
 import numbers
+import os
 from collections import Counter
 from dataclasses import astuple, dataclass, replace
 
@@ -434,3 +435,24 @@ def load_manifest(path):
             raise MalformedFile("%s line %d: bad duration %r" % (path, i, dur_text))
         entries.append((sid, cond, rel, dur))
     return DatasetManifest(tuple(entries), seed)
+
+
+def write_cohort(out_dir, n_subjects, seed, rest_duration_s=300.0,
+                 ex_duration_s=150.0, noise_on=True):
+    """Write build_cohort's records to out_dir as `<subject>_<condition>.txt`
+    and `manifest.txt`; returns the manifest path. Bad arguments fail before
+    out_dir is made, and failing to make it raises IoFailure."""
+    cohort = build_cohort(n_subjects, seed, rest_duration_s, ex_duration_s,
+                          noise_on)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure("cannot create %s: %s" % (out_dir, exc)) from exc
+    entries = []
+    for rec, _truth in cohort:
+        rel = "%s_%s.txt" % (rec.subject_id, rec.condition)
+        save_record(rec, os.path.join(out_dir, rel))
+        entries.append((rec.subject_id, rec.condition, rel, rec.duration_s))
+    path = os.path.join(out_dir, "manifest.txt")
+    save_manifest(DatasetManifest(tuple(entries), seed=seed), path)
+    return path

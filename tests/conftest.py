@@ -1,34 +1,18 @@
 """Shared synthesis helpers for the test suite."""
 
 import dataclasses
-import os
 
-from ecgid.ingest import (
-    DatasetManifest,
-    Wave,
-    build_cohort,
-    generate_subject_params,
-    save_manifest,
-    save_record,
-)
+from ecgid import ingest
+from ecgid.ingest import Wave, generate_subject_params
 
 FS = 300.0
 
 
 def write_cohort(dirpath, n_subjects, seed, rest_s=30.0, ex_s=20.0,
                  noise_on=True):
-    """Synthesize a cohort into a directory; returns the manifest path."""
-    cohort = build_cohort(n_subjects, seed, rest_duration_s=rest_s,
-                          ex_duration_s=ex_s, noise_on=noise_on)
-    entries = []
-    for record, _truth in cohort:
-        rel = "%s_%s.txt" % (record.subject_id, record.condition)
-        save_record(record, os.path.join(dirpath, rel))
-        entries.append((record.subject_id, record.condition, rel,
-                        record.duration_s))
-    path = os.path.join(dirpath, "manifest.txt")
-    save_manifest(DatasetManifest(tuple(entries), seed=seed), path)
-    return path
+    """ingest.write_cohort with the suite's short default durations."""
+    return ingest.write_cohort(dirpath, n_subjects, seed, rest_s, ex_s,
+                               noise_on)
 
 
 def fixed_params(rest_hr=60.0, ex_hr=100.0, jitter=0.0):

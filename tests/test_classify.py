@@ -304,6 +304,17 @@ def test_svm_degenerate_class_errors():
         svm_train(toy_matrix(np.arange(3)[:, None], ["a", "a", "b"]))
 
 
+@pytest.mark.parametrize("name, value", [
+    ("c", 0.0), ("c", -1.0), ("gamma", float("nan")), ("gamma", -1.0)])
+def test_svm_rejects_a_bad_c_or_gamma(name, value):
+    # unchecked, these gave NaN biases or a "converged" model with a huge bias
+    m = toy_matrix(np.random.default_rng(3).normal(size=(12, 5)),
+                   ["a", "b", "c"] * 4)
+    with pytest.raises(InvariantViolation,
+                       match="%s must be finite and > 0" % name):
+        svm_train(m, **{name: value})
+
+
 def test_svm_pairs_equal_one_problem_solves():
     # unequal class sizes, so the batched state has padding slots and the
     # pairs stop after different numbers of updates

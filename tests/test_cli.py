@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import filecmp
 import io
 import os
 
@@ -13,9 +14,9 @@ from hypothesis import strategies as st
 from ecgid import bench, features
 from ecgid.bench import REPORT_COLUMNS, PipelineConfig, parse_report_csv
 from ecgid.cli import cli_main
-from ecgid.errors import EcgidError, InvariantViolation
+from ecgid.errors import EcgidError, InvariantViolation, IoFailure
 from ecgid.features import load_feature_matrix
-from ecgid.ingest import load_manifest
+from ecgid.ingest import load_manifest, write_cohort
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +69,26 @@ def test_gen_rejects_a_duration_too_long_to_allocate(tmp_path, capsys):
                      str(out), "--rest-duration", "1e300"]) == 2
     assert "duration 1e+300 s is too long" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_gen_into_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    with pytest.raises(IoFailure, match="cannot create"):
+        write_cohort(str(taken), 1, 1, 10.0, 8.0)
+    assert cli_main(["gen", "--subjects", "1", "--seed", "1", "--out",
+                     str(taken), "--rest-duration", "10",
+                     "--ex-duration", "8"]) == 2
+    assert "cannot create %s" % taken in capsys.readouterr().err
+
+
+def test_write_cohort_writes_the_bytes_gen_writes(gen_dir, tmp_path):
+    # gen_dir holds `gen --subjects 3 --seed 5` at 30 s / 20 s, noise on
+    out = str(tmp_path / "lib")
+    assert write_cohort(out, 3, 5, 30.0, 20.0) == manifest_of(out)
+    names = sorted(os.listdir(gen_dir))
+    assert sorted(os.listdir(out)) == names
+    assert filecmp.cmpfiles(gen_dir, out, names, shallow=False)[0] == names
 
 
 def test_detect_emits_indices(gen_dir, tmp_path, capsys):

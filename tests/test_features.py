@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ecgid.classify import knn_predict
 from ecgid.detect import QrsDetection, detect_r_peaks
 from ecgid.dsp import hamming_window, preprocess_ecg
 from ecgid.errors import (
@@ -21,6 +22,7 @@ from ecgid.errors import (
     IoFailure,
     MalformedFile,
     NonFiniteSample,
+    SignalTooShort,
     TooFewRows,
     WindowTooLong,
 )
@@ -344,6 +346,25 @@ def test_zscore_affine_and_errors():
 
 
 # ===== subsetting, concatenation, persistence =============================
+
+TOY = FeatureMatrix(np.arange(12.0).reshape(4, 3), ("a", "b", "a", "b"),
+                    ("rest",) * 4, "toy3")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: knn_predict(TOY, TOY, k=1.5), InvariantViolation,
+     r"k must be an integer in \[1, n_train\]"),
+    (lambda: take_rows(TOY, [[0, 1], [2, 3]]), InvariantViolation,
+     "row index is 2-D, not 1-D"),
+    (lambda: cwt_of_window(np.zeros(0)), SignalTooShort, "empty window"),
+    (lambda: stft_of_window(np.zeros(10)), SignalTooShort,
+     "window of >= 16 samples, got 10")],
+    ids=["knn-fractional-k", "take_rows-2d-index", "cwt-empty-window",
+         "stft-short-window"])
+def test_malformed_arguments_raise_typed_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
 
 def test_take_rows_and_concat():
     vals = np.arange(12.0).reshape(4, 3)
