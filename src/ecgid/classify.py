@@ -9,6 +9,7 @@ permuting the input rows cannot change the fitted model.
 
 import hashlib
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -322,7 +323,7 @@ def svm_train(m, c=100.0, gamma=1.0, tol=1e-3, max_epochs=200):
     SvmModel
     """
     for name, value in (("c", c), ("gamma", gamma)):
-        if not 0 < value < np.inf:
+        if not (isinstance(value, numbers.Real) and 0 < value < np.inf):
             raise InvariantViolation("%s must be finite and > 0" % name)
     labels = list(m.subject_ids)
     classes = tuple(sorted(set(labels)))

@@ -49,7 +49,7 @@ def _load_config(args, base=bench.PipelineConfig()):
 
 def _cmd_gen(args):
     print(write_cohort(args.out, args.subjects, args.seed, args.rest_duration,
-                       args.ex_duration, args.noise == "on"))
+                       args.ex_duration))
     return 0
 
 
@@ -129,7 +129,6 @@ def build_parser():
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--rest-duration", type=float, default=300.0)
     p.add_argument("--ex-duration", type=float, default=150.0)
-    p.add_argument("--noise", choices=("on", "off"), default="on")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("detect", help="R peaks for one record")

@@ -4,6 +4,7 @@ IIR Butterworth band-pass design (analog prototype, frequency pre-warping,
 bilinear transform), zero-phase filtering and Hamming windows.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +63,7 @@ def design_butterworth_bandpass(order, lo_hz, hi_hz, fs_hz):
     -------
     FilterCoefficients
     """
-    if order <= 0 or order % 2 != 0:
+    if not isinstance(order, numbers.Integral) or order <= 0 or order % 2 != 0:
         raise InvalidBand("order must be a positive even integer, got %r" % (order,))
     if not (0 < lo_hz < hi_hz < fs_hz / 2):
         raise InvalidBand(

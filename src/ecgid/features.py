@@ -142,10 +142,11 @@ def concat_matrices(parts):
 def stft_of_window(w):
     """Concatenated one-sided magnitudes of Hamming-weighted frames."""
     w = np.asarray(w, dtype=float)
-    if w.shape[-1] < STFT_WINDOW_N:
+    n = w.shape[-1] if w.ndim else 0
+    if n < STFT_WINDOW_N:
         raise SignalTooShort("STFT needs a window of >= %d samples, got %d"
-                             % (STFT_WINDOW_N, w.shape[-1]))
-    starts = np.arange(0, w.shape[-1] - STFT_WINDOW_N + 1, STFT_HOP)
+                             % (STFT_WINDOW_N, n))
+    starts = np.arange(0, n - STFT_WINDOW_N + 1, STFT_HOP)
     frames = w[..., starts[:, None] + np.arange(STFT_WINDOW_N)]
     frames = frames * hamming_window(STFT_WINDOW_N)
     mags = np.abs(np.fft.rfft(frames, n=STFT_NFFT, axis=-1))
@@ -169,7 +170,7 @@ def _cwt_spectra(length):
 def cwt_of_window(w):
     """Wavelet coefficients at integer scales 1..CWT_SCALES, concatenated."""
     w = np.asarray(w, dtype=float)
-    n = w.shape[-1]
+    n = w.shape[-1] if w.ndim else 0
     if n < 1:
         raise SignalTooShort("wavelet transform of an empty window")
     nfft, spectra = _cwt_spectra(n)
@@ -197,13 +198,12 @@ def autocorr_features(x, n_lags):
     ndarray of shape x.shape[:-1] + (n_lags,).
     """
     x = np.asarray(x, dtype=float)
-    if n_lags < 1:
-        raise InvariantViolation("n_lags must be >= 1")
-    if n_lags > x.shape[-1] // 2:
+    if not (isinstance(n_lags, (int, np.integer)) and n_lags >= 1):
+        raise InvariantViolation("n_lags must be an integer >= 1")
+    n = x.shape[-1] if x.ndim else 0
+    if n_lags > n // 2:
         raise WindowTooLong(
-            "n_lags %d exceeds half the window length %d"
-            % (n_lags, x.shape[-1])
-        )
+            "n_lags %d exceeds half the window length %d" % (n_lags, n))
     r0 = _lagged_dot(x, 0)
     if np.any(r0 == 0.0):
         raise DegenerateWindow("all-zero window has no autocorrelation scale")

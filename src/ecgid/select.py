@@ -8,6 +8,7 @@ population Gaussian fits over an auxiliary cohort: w = lambda*w1 -
 rest-to-exercise drift (w2).
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +68,8 @@ def pca_fit(m, variance_retained=0.99):
     -------
     PcaModel
     """
-    if not 0 < variance_retained <= 1:
+    if not (isinstance(variance_retained, numbers.Real)
+            and 0 < variance_retained <= 1):
         raise InvariantViolation("variance_retained must be in (0, 1]")
     x = m.values
     n, d = x.shape

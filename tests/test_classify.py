@@ -305,7 +305,8 @@ def test_svm_degenerate_class_errors():
 
 
 @pytest.mark.parametrize("name, value", [
-    ("c", 0.0), ("c", -1.0), ("gamma", float("nan")), ("gamma", -1.0)])
+    ("c", 0.0), ("c", -1.0), ("gamma", float("nan")), ("gamma", -1.0),
+    ("c", "1"), ("gamma", None)])
 def test_svm_rejects_a_bad_c_or_gamma(name, value):
     # unchecked, these gave NaN biases or a "converged" model with a huge bias
     m = toy_matrix(np.random.default_rng(3).normal(size=(12, 5)),

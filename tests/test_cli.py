@@ -205,7 +205,7 @@ def test_run_with_config_file(gen_dir, tmp_path):
     assert rows[0]["pipeline"] == "beat300+zscore+knn1"
 
 
-def test_usage_errors_exit_1(capsys):
+def test_usage_errors_exit_1(tmp_path, capsys):
     assert cli_main(["run", "--manifest", "x", "--protocol", "loocv"]) == 1
     err = capsys.readouterr().err
     assert "usage" in err
@@ -215,6 +215,11 @@ def test_usage_errors_exit_1(capsys):
     # detect takes the pipeline's band, dsp.BAND_HZ
     assert cli_main(["detect", "--record", "x", "--lo", "0.5"]) == 1
     assert "unrecognized arguments: --lo" in capsys.readouterr().err
+    # gen always writes noisy records
+    assert cli_main(["gen", "--subjects", "2", "--seed", "1", "--out",
+                     str(tmp_path / "gen"), "--rest-duration", "10",
+                     "--ex-duration", "10", "--noise", "off"]) == 1
+    assert "unrecognized arguments: --noise" in capsys.readouterr().err
 
 
 def test_data_errors_exit_2(tmp_path, capsys):

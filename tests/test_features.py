@@ -13,11 +13,13 @@ from hypothesis.extra.numpy import arrays
 
 from ecgid.classify import knn_predict
 from ecgid.detect import QrsDetection, detect_r_peaks
-from ecgid.dsp import hamming_window, preprocess_ecg
+from ecgid.dsp import (design_butterworth_bandpass, hamming_window,
+                       preprocess_ecg)
 from ecgid.errors import (
     DegenerateWindow,
     DimensionMismatch,
     EcgidError,
+    InvalidBand,
     InvariantViolation,
     IoFailure,
     MalformedFile,
@@ -53,6 +55,7 @@ from ecgid.ingest import (
     generate_subject_params,
     synthesize_record,
 )
+from ecgid.select import pca_fit
 from ecgid.wavelets import mother_wavelet, wavelet_kernel
 
 
@@ -358,9 +361,22 @@ TOY = FeatureMatrix(np.arange(12.0).reshape(4, 3), ("a", "b", "a", "b"),
      "row index is 2-D, not 1-D"),
     (lambda: cwt_of_window(np.zeros(0)), SignalTooShort, "empty window"),
     (lambda: stft_of_window(np.zeros(10)), SignalTooShort,
-     "window of >= 16 samples, got 10")],
+     "window of >= 16 samples, got 10"),
+    (lambda: stft_of_window(1.0), SignalTooShort,
+     "window of >= 16 samples, got 0"),
+    (lambda: cwt_of_window(1.0), SignalTooShort, "empty window"),
+    (lambda: autocorr_features(1.0, 1), WindowTooLong,
+     "n_lags 1 exceeds half the window length 0"),
+    (lambda: autocorr_features(np.ones(10), 2.5), InvariantViolation,
+     "n_lags must be an integer >= 1"),
+    (lambda: pca_fit(TOY, variance_retained="x"), InvariantViolation,
+     r"variance_retained must be in \(0, 1\]"),
+    (lambda: design_butterworth_bandpass(4.0, 1.0, 10.0, 300.0), InvalidBand,
+     "order must be a positive even integer, got 4.0")],
     ids=["knn-fractional-k", "take_rows-2d-index", "cwt-empty-window",
-         "stft-short-window"])
+         "stft-short-window", "stft-0d-window", "cwt-0d-window",
+         "autocorr-0d-window", "autocorr-fractional-lags",
+         "pca-str-variance", "butterworth-float-order"])
 def test_malformed_arguments_raise_typed_errors(call, error, message):
     with pytest.raises(error, match=message):
         call()
