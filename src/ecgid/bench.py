@@ -386,27 +386,37 @@ class FittedState:
 
 def fit_pipeline_state(train, config, selection=None):
     """Fit z-score, PCA, and the classifier on training rows only."""
-    m = train
-    zparams = pmodel = None
-    if config.normalize:
-        zparams = _features.zscore_fit(m)
-        m = _features.zscore_apply(zparams, m)
-    if config.reduction == "pca":
-        pmodel = _select.pca_fit(m)
-        m = _select.pca_transform(pmodel, m)
-    if config.classifier == "knn":
-        return FittedState(config, selection, zparams, pmodel, None, m)
-    model = _classify.svm_train(m, c=config.c, gamma=config.gamma)
-    return FittedState(config, selection, zparams, pmodel, model, None)
+    return _transform(FittedState(config, selection), train, fit=True)[0]
 
 
 def predict_with_state(state, m):
     """Apply the fitted z-score and PCA stages (selection is applied per
     record before splitting), then classify."""
+    return _classify_rows(*_transform(state, m))
+
+
+def _transform(state, m, fit=False, out=None):
+    """(state, rows): m's rows through the state's z-score and PCA. With
+    `fit`, each step the config names, then the classifier, is fitted on the
+    rows it gets. The z-score writes `out`: m.values only if none shares it."""
+    if fit and state.config.normalize:
+        state = replace(state, zscore=_features.zscore_fit(m))
     if state.zscore is not None:
-        m = _features.zscore_apply(state.zscore, m)
+        m = _features.zscore_apply(state.zscore, m, out)
+    if fit and state.config.reduction == "pca":
+        state = replace(state, pca=_select.pca_fit(m))
     if state.pca is not None:
         m = _select.pca_transform(state.pca, m)
+    if fit and state.config.classifier == "knn":
+        state = replace(state, knn_train=m)
+    elif fit:
+        state = replace(state, svm=_classify.svm_train(
+            m, c=state.config.c, gamma=state.config.gamma))
+    return state, m
+
+
+def _classify_rows(state, m):
+    """Classify rows that the state's z-score and PCA have transformed."""
     if state.svm is not None:
         return _classify.svm_predict(state.svm, m)
     return _classify.knn_predict(state.knn_train, m, k=state.config.knn_k)
@@ -511,11 +521,10 @@ def _run_top_ns(manifest_path, configs, protocol, seed, cache):
     the stacked auxiliary records; each top_n keeps a prefix of the one
     ranking of the weights.
 
-    No step stacks the whole cohort. The kept records' rows (for fused_kl,
-    their selected columns) are stacked into train rows, fitted and
-    classified; the test rows are stacked after the train stack is let go,
-    but their parts (copies, unless the run is rest_ex without a selection)
-    live through the fit."""
+    No step stacks the whole cohort. Train rows (for fused_kl, the selected
+    columns) are stacked, fitted and classified, then test rows once the
+    train stack is let go; each stack is z-scored in place. Test parts
+    (copies, unless rest_ex without a selection) live through the fit."""
     if not configs:
         return []
     config = configs[0]
@@ -541,12 +550,13 @@ def _run_top_ns(manifest_path, configs, protocol, seed, cache):
         train, test, dropped = _split_parts(parts if selection is None else [
             _select.apply_selection(selection, p) for p in parts], protocol)
         n_subjects, train = len(test), _features.concat_matrices(train)
-        state = fit_pipeline_state(train, cfg, selection)
-        train_acc = _classify.accuracy(predict_with_state(state, train),
+        state, train = _transform(FittedState(cfg, selection), train,
+                                  fit=True, out=train.values)
+        train_acc = _classify.accuracy(_classify_rows(state, train),
                                        train.subject_ids)
         n_train, train = train.n_rows, None  # lets the train stack go
         test = _features.concat_matrices(test)
-        test_pred = predict_with_state(state, test)
+        test_pred = _classify_rows(*_transform(state, test, out=test.values))
         reports.append(ExperimentReport(
             pipeline=cfg.pipeline_id,
             protocol=protocol,

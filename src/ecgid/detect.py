@@ -175,11 +175,11 @@ def detect_r_peaks(x, fs_hz):
     """
     x = np.asarray(x, dtype=float)
     n = x.size
+    filtered = pt_bandpass(x, fs_hz)  # checks fs_hz before int() reads it
     init_n = int(round(2 * fs_hz))
     if n < init_n:
         raise SignalTooShort("detection needs at least 2 s of signal")
 
-    filtered = pt_bandpass(x, fs_hz)
     window_n = int(round(INTEGRATION_WINDOW_S * fs_hz))
     mwi = moving_window_integrate(square_signal(derivative_filter(filtered)), window_n)
     abs_f = np.abs(filtered)

@@ -57,7 +57,7 @@ def design_butterworth_bandpass(order, lo_hz, hi_hz, fs_hz):
     lo_hz, hi_hz : float
         Cut-off frequencies; magnitude is ~1/sqrt(2) at each.
     fs_hz : float
-        Sampling rate; requires 0 < lo_hz < hi_hz < fs_hz / 2.
+        Sampling rate; requires real 0 < lo_hz < hi_hz < fs_hz / 2 < inf.
 
     Returns
     -------
@@ -65,10 +65,10 @@ def design_butterworth_bandpass(order, lo_hz, hi_hz, fs_hz):
     """
     if not isinstance(order, numbers.Integral) or order <= 0 or order % 2 != 0:
         raise InvalidBand("order must be a positive even integer, got %r" % (order,))
-    if not (0 < lo_hz < hi_hz < fs_hz / 2):
-        raise InvalidBand(
-            "need 0 < lo < hi < fs/2, got lo=%g hi=%g fs=%g" % (lo_hz, hi_hz, fs_hz)
-        )
+    if not (all(isinstance(v, numbers.Real) for v in (lo_hz, hi_hz, fs_hz))
+            and 0 < lo_hz < hi_hz < fs_hz / 2 < np.inf):
+        raise InvalidBand("need real 0 < lo < hi < fs/2 < inf, got lo=%r hi=%r "
+                          "fs=%r" % (lo_hz, hi_hz, fs_hz))
     m = order // 2
 
     # pre-warp the band edges so the bilinear transform lands them exactly

@@ -6,7 +6,7 @@ fall outside the record are skipped and counted, never padded.
 """
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -352,17 +352,17 @@ def zscore_fit(m):
     return ZScoreParams(mean, std)
 
 
-def zscore_apply(params, m):
+def zscore_apply(params, m, out=None):
+    """Z-score m's rows into `out`, as in numpy: m.values works in place."""
     if m.dim != params.mean.size:
         raise DimensionMismatch(
             "matrix dim %d vs params dim %d" % (m.dim, params.mean.size)
         )
     safe = np.where(params.degenerate, 1.0, params.std)
-    out = m.values - params.mean
+    out = np.subtract(m.values, params.mean, out=out)
     out /= safe
     out[:, params.degenerate] = 0.0
-    return FeatureMatrix(out, m.subject_ids, m.conditions, m.layout_id,
-                         m.skipped)
+    return replace(m, values=out)
 
 
 # ===== persistence ========================================================

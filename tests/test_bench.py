@@ -400,15 +400,26 @@ def test_run_pipeline_qrs30_rest_rest(small_manifest):
     (PipelineConfig(stage="fused", normalize=True), "rest_ex"),
     (PipelineConfig(stage="beat300", normalize=True, classifier="knn",
                     knn_k=3), "ex_last70"),
+    (PipelineConfig(stage="qrs30", normalize=True, reduction="pca"),
+     "rest_rest"),
 ])
 def test_run_fits_and_predicts_through_the_public_path(small_manifest, cfg,
                                                        protocol):
-    report = run_pipeline(small_manifest, cfg, protocol, seed=1)
-    matrix, _ = cohort_matrix(small_manifest, cfg, protocol, 1)
+    cache = {}
+    report = run_pipeline(small_manifest, cfg, protocol, seed=1, cache=cache)
+    matrix, _ = cohort_matrix(small_manifest, cfg, protocol, 1, cache)
     split = split_protocol(matrix, protocol)
+    before = [m.values.copy() for m in (matrix, split.train, split.test)]
     state = fit_pipeline_state(split.train, cfg)
     train_pred = predict_with_state(state, split.train)
     test_pred = predict_with_state(state, split.test)
+    # the run z-scores its own stacks in place; the public path writes to
+    # none of its caller's rows, and no run writes to the cached rows
+    assert run_pipeline(small_manifest, cfg, protocol, 1, cache) == report
+    after = (matrix, split.train, split.test,
+             cohort_matrix(small_manifest, cfg, protocol, 1, cache)[0])
+    assert all(np.array_equal(a, m.values)
+               for a, m in zip(before + before[:1], after))
     truth = split.test.subject_ids
     assert report.train_accuracy == accuracy(train_pred,
                                              split.train.subject_ids)
@@ -684,22 +695,36 @@ def test_warm_fused_run_keeps_one_copy_of_its_rows(fused_manifest):
     assert peak < 2.75 * row_bytes, peak / row_bytes
 
 
+def warm_fused_peak(manifest):
+    """The tracemalloc peak of a fused rest_ex run on a warm cache, in units
+    of its train and test rows' bytes."""
+    cfg = PipelineConfig(stage="fused", normalize=True)
+    cache = {}
+    report = run_pipeline(manifest, cfg, "rest_ex", 0, cache=cache)
+    dim = cohort_matrix(manifest, cfg, "rest_ex", 0, cache)[0].dim
+    row_bytes = (report.train_beats + report.test_beats) * dim * 8
+    tracemalloc.start()
+    try:
+        run_pipeline(manifest, cfg, "rest_ex", 0, cache=cache)
+        return tracemalloc.get_traced_memory()[1] / row_bytes
+    finally:
+        tracemalloc.stop()
+
+
 def test_warm_fused_run_never_holds_its_train_and_test_stacks(fused_manifest):
     # Beside the bound above: it reads 2.07 here once the test rows are
     # stacked only after the training rows are fitted and classified, and
     # 2.54 while both stacks were alive through the fit and predictions.
-    cfg = PipelineConfig(stage="fused", normalize=True)
-    cache = {}
-    report = run_pipeline(fused_manifest, cfg, "rest_ex", 0, cache=cache)
-    dim = cohort_matrix(fused_manifest, cfg, "rest_ex", 0, cache)[0].dim
-    row_bytes = (report.train_beats + report.test_beats) * dim * 8
-    tracemalloc.start()
-    try:
-        run_pipeline(fused_manifest, cfg, "rest_ex", 0, cache=cache)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2.3 * row_bytes, peak / row_bytes
+    peak = warm_fused_peak(fused_manifest)
+    assert peak < 2.3, peak
+
+
+def test_warm_fused_run_holds_two_stacks(fused_manifest):
+    # 1.54 here once the run z-scores its own stacks in place and classifies
+    # its training rows as the fit left them, and 2.07 while the fit and
+    # each prediction z-scored a copy of their rows.
+    peak = warm_fused_peak(fused_manifest)
+    assert peak < 1.75, peak
 
 
 @pytest.mark.parametrize("cfg,protocol,top_ns", [
@@ -711,19 +736,19 @@ def test_warm_fused_run_never_holds_its_train_and_test_stacks(fused_manifest):
 def test_run_stacks_its_test_rows_after_classifying_its_training_rows(
         fused_manifest, monkeypatch, cfg, protocol, top_ns):
     events = []
-    stack, predict = bench._features.concat_matrices, bench.predict_with_state
+    stack, classify = bench._features.concat_matrices, bench._classify_rows
 
     def logged_stack(parts):
         m = stack(parts)
         events.append(("stack", m.n_rows))
         return m
 
-    def logged_predict(state, m):
-        events.append(("predict", m.n_rows))
-        return predict(state, m)
+    def logged_classify(state, m):
+        events.append(("classify", m.n_rows))
+        return classify(state, m)
 
     monkeypatch.setattr(bench._features, "concat_matrices", logged_stack)
-    monkeypatch.setattr(bench, "predict_with_state", logged_predict)
+    monkeypatch.setattr(bench, "_classify_rows", logged_classify)
     if top_ns is None:
         reports = [run_pipeline(fused_manifest, cfg, protocol, 2)]
     else:
@@ -732,8 +757,8 @@ def test_run_stacks_its_test_rows_after_classifying_its_training_rows(
     want = []
     for r in reports:
         assert r.train_beats != r.test_beats  # so the events tell them apart
-        want += [("stack", r.train_beats), ("predict", r.train_beats),
-                 ("stack", r.test_beats), ("predict", r.test_beats)]
+        want += [("stack", r.train_beats), ("classify", r.train_beats),
+                 ("stack", r.test_beats), ("classify", r.test_beats)]
     assert events == want
 
 

@@ -21,6 +21,7 @@ from ecgid.detect import (
 )
 from ecgid.dsp import preprocess_ecg
 from ecgid.errors import (
+    InvalidBand,
     InvariantViolation,
     NoBeatsFound,
     SignalTooShort,
@@ -147,6 +148,13 @@ def test_flat_zero_raises():
 def test_too_short_raises():
     with pytest.raises(SignalTooShort):
         detect_r_peaks(np.zeros(100), FS)
+
+
+@pytest.mark.parametrize("fs", [0, -300, 0.5, np.nan, np.inf, None, "300"],
+                         ids=["0", "-300", "0.5", "nan", "inf", "None", "str"])
+def test_a_rate_that_is_no_finite_real_above_30_hz_raises(fs):
+    with pytest.raises(InvalidBand, match="need real 0 < lo < hi"):
+        detect_r_peaks(np.zeros(int(10 * FS)), fs)
 
 
 def test_detection_deterministic():

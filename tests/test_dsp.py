@@ -5,6 +5,8 @@ the unit circle by direct summation, independently of the implementation's
 own polynomial evaluation.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from ecgid.dsp import (
     design_butterworth_bandpass,
     filter_zero_phase,
     hamming_window,
+    preprocess_ecg,
 )
 from ecgid.errors import InvalidBand, SignalTooShort
 from ecgid.features import stft_of_window
@@ -48,6 +51,21 @@ def test_design_rejects_bad_bands():
         design_butterworth_bandpass(3, 0.5, 40.0, 300.0)  # odd order
     with pytest.raises(InvalidBand):
         design_butterworth_bandpass(0, 0.5, 40.0, 300.0)
+
+
+@pytest.mark.parametrize("lo, hi, fs", [
+    ("1", 10.0, 300.0), (1.0, None, 300.0), (1.0, 10.0, None),
+    (1.0, 10.0, "300"), (1.0, 10.0, np.inf), (np.nan, 10.0, 300.0)],
+    ids=["str-lo", "none-hi", "none-fs", "str-fs", "inf-fs", "nan-lo"])
+def test_design_rejects_edges_and_rates_that_are_no_finite_reals(lo, hi, fs):
+    # an infinite rate used to pass the band check and fail in the design,
+    # with RuntimeWarnings first; here a warning fails the test
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidBand, match="need real 0 < lo < hi"):
+            design_butterworth_bandpass(4, lo, hi, fs)
+        with pytest.raises(InvalidBand, match="need real 0 < lo < hi"):
+            preprocess_ecg(np.zeros(600), fs, lo, hi)
 
 
 def test_design_normalized_and_sized():
