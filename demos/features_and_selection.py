@@ -1,21 +1,18 @@
 """Extract fused time-frequency features for a small cohort and show how
 divergence-based selection reweights them.
 
-The selection weights are fit on auxiliary subjects only; the demo prints
-which feature blocks (spectrogram, wavelet, autocorrelation) survive at a
-few retained-feature counts."""
+The rows are the ones a `fused_kl` run selects on: each record is
+band-passed to 0.5-40 Hz before detection and features. The whole small
+cohort stands in for the auxiliary subjects the weights are fit on; the
+demo prints which feature blocks (spectrogram, wavelet, autocorrelation)
+survive at a few retained-feature counts."""
 
-import numpy as np
+import tempfile
 
-from ecgid import (
-    build_cohort,
-    concat_matrices,
-    detect_r_peaks,
-    fused_features,
-    preprocess_ecg,
-    select_features,
-)
+from ecgid import PipelineConfig, load_manifest, select_features, write_cohort
+from ecgid.bench import featurize_cohort
 from ecgid.features import FUSED_BLOCKS
+from ecgid.select import rank_descending
 
 
 def block_of(index):
@@ -26,14 +23,13 @@ def block_of(index):
 
 
 def main():
-    cohort = build_cohort(4, seed=42, rest_duration_s=60.0,
-                          ex_duration_s=40.0, noise_on=True)
-    parts = []
-    for record, _truth in cohort:
-        filtered = preprocess_ecg(record.samples, record.sampling_rate_hz)
-        det = detect_r_peaks(filtered, record.sampling_rate_hz)
-        parts.append(fused_features(record, det))
-    aux = concat_matrices(parts)
+    with tempfile.TemporaryDirectory(prefix="ecgid_demo_") as out:
+        manifest = write_cohort(out, 4, seed=42, rest_duration_s=60.0,
+                                ex_duration_s=40.0)
+        entries = [(sid, cond) for sid, cond, _, _
+                   in load_manifest(manifest).entries]
+        aux = featurize_cohort(manifest, PipelineConfig(stage="fused"),
+                               entries)
     print("auxiliary matrix: %d beats x %d features from %d subjects"
           % (aux.n_rows, aux.dim, len(set(aux.subject_ids))))
 
@@ -42,10 +38,10 @@ def main():
           "w2 (exercise sensitivity) %.3f..%.3f"
           % (sel.w1.min(), sel.w1.max(), sel.w2.min(), sel.w2.max()))
 
+    ranked = rank_descending(sel.w)
     for top_n in (20, 200, 2000):
-        chosen = np.argsort(-sel.w, kind="stable")[:top_n]
         counts = {}
-        for idx in chosen:
+        for idx in ranked[:top_n]:
             name = block_of(int(idx))
             counts[name] = counts.get(name, 0) + 1
         mix = ", ".join("%s %d" % (k, counts.get(k, 0))

@@ -542,8 +542,8 @@ def _run_top_ns(manifest_path, configs, protocol, seed, cache):
         full = _select.select_features(_features.concat_matrices(
             [p for p in parts if p.subject_ids[0] in aux_sids]),
             config.lam, max(c.top_n for c in configs))
-        selections = [replace(full, selected=full.selected[:c.top_n],
-                              top_n=c.top_n) for c in configs]
+        selections = [replace(full, selected=full.selected[:c.top_n])
+                      for c in configs]
         parts = [p for p in parts if p.subject_ids[0] not in aux_sids]
     reports = []
     for cfg, selection in zip(configs, selections):

@@ -24,6 +24,7 @@ from .errors import (
 ALPHA_EPS = 1e-12
 TAU = 1e-12  # floor on the pair curvature a, as in LIBSVM
 BLOCK_ROWS = 256  # rows per block of the kernel's norm, exp and mirror steps
+MAX_EPOCHS = 200  # SMO makes at most MAX_EPOCHS * n pair updates on n rows
 
 
 # ===== kernel =============================================================
@@ -95,20 +96,20 @@ class SmoResult:
     kkt_violation: float
 
 
-def _kkt_violation(alpha, y, err, c, eps=ALPHA_EPS):
+def _kkt_violation(alpha, y, err, c):
     """Largest KKT residual: r = y*E must obey the sign of alpha's bound."""
     r = y * err
     v = np.zeros_like(r)
-    free = (alpha > eps) & (alpha < c - eps)
+    free = (alpha > ALPHA_EPS) & (alpha < c - ALPHA_EPS)
     v[free] = np.abs(r[free])
-    at_zero = alpha <= eps
+    at_zero = alpha <= ALPHA_EPS
     v[at_zero] = np.maximum(0.0, -r[at_zero])
-    at_c = alpha >= c - eps
+    at_c = alpha >= c - ALPHA_EPS
     v[at_c] = np.maximum(0.0, r[at_c])
     return float(np.max(v))
 
 
-def smo_solve(gram, y, c=100.0, tol=1e-3, max_epochs=200):
+def smo_solve(gram, y, c=100.0, tol=1e-3):
     """Maximize the soft-margin SVM dual over a precomputed Gram matrix.
 
     Each update optimizes one pair of multipliers analytically. The pair is
@@ -128,9 +129,8 @@ def smo_solve(gram, y, c=100.0, tol=1e-3, max_epochs=200):
     c : float
         Box constraint.
     tol : float
-        Stop once max g over I_up minus min g over I_low falls below tol.
-    max_epochs : int
-        Budget of max_epochs * n pair updates.
+        Stop once max g over I_up minus min g over I_low falls below tol,
+        or after MAX_EPOCHS * n pair updates.
 
     Returns
     -------
@@ -143,10 +143,10 @@ def smo_solve(gram, y, c=100.0, tol=1e-3, max_epochs=200):
     y = np.asarray(y, float)
     if set(np.unique(y)) != {-1.0, 1.0}:
         raise InvariantViolation("labels must be +-1, with both present")
-    return _smo_batch(gram, [np.arange(y.size)], [y], c, tol, max_epochs)[0]
+    return _smo_batch(gram, [np.arange(y.size)], [y], c, tol)[0]
 
 
-def _smo_batch(gram, idx, y, c, tol, max_epochs):
+def _smo_batch(gram, idx, y, c, tol):
     """smo_solve for many binary problems over one Gram matrix.
 
     Problem p trains on the rows idx[p] of gram with labels y[p]. The
@@ -180,7 +180,7 @@ def _smo_batch(gram, idx, y, c, tol, max_epochs):
         del g_up
         # m_up <= m_low is the exact optimum; it also stops a tol <= 0 run
         done = ((m_up - m_low < tol) | (m_up <= m_low)
-                | (updates == max_epochs * sizes[live]))
+                | (updates == MAX_EPOCHS * sizes[live]))
         if done.any():
             for r in np.flatnonzero(done):
                 p = live[r]
@@ -303,7 +303,7 @@ def canonical_order(values, labels):
                   key=lambda i: (labels[i], digests[i], i))
 
 
-def svm_train(m, c=100.0, gamma=1.0, tol=1e-3, max_epochs=200):
+def svm_train(m, c=100.0, gamma=1.0, tol=1e-3):
     """Train a one-vs-one RBF SVM on the rows of ``m``.
 
     Parameters
@@ -312,8 +312,8 @@ def svm_train(m, c=100.0, gamma=1.0, tol=1e-3, max_epochs=200):
         Rows labeled by subject_ids; every class needs >= 2 rows.
     c, gamma : float
         Box constraint and kernel width.
-    tol, max_epochs : SMO stopping controls
-        tol bounds each pair's KKT violation; max_epochs * n caps the pair
+    tol : float
+        Bounds each pair's KKT violation; MAX_EPOCHS * n caps the pair
         updates of a binary problem with n rows. All binary problems are
         solved together in one batched SMO loop over the model's Gram
         matrix; each result equals smo_solve on that pair's sub-Gram.
@@ -343,7 +343,7 @@ def svm_train(m, c=100.0, gamma=1.0, tol=1e-3, max_epochs=200):
            for pos, neg in class_pairs]
     ys = [np.where(np.arange(ix.size) < idx_by_class[pos].size, 1.0, -1.0)
           for ix, (pos, _) in zip(idx, class_pairs)]
-    results = _smo_batch(gram, idx, ys, c, tol, max_epochs)
+    results = _smo_batch(gram, idx, ys, c, tol)
     pairs = []
     for (pos, neg), ix, y, res in zip(class_pairs, idx, ys, results):
         keep = res.alpha > ALPHA_EPS

@@ -5,12 +5,13 @@ bilinear transform), zero-phase filtering and Hamming windows.
 """
 
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import lfilter
 
-from .errors import InvalidBand, SignalTooShort
+from .errors import InvalidBand, InvariantViolation, NonFiniteSample, SignalTooShort
 
 # the band every record is filtered to for detection and features
 BAND_HZ = (0.5, 40.0)
@@ -18,7 +19,7 @@ BAND_HZ = (0.5, 40.0)
 
 @dataclass(frozen=True)
 class FilterCoefficients:
-    """Digital IIR transfer function b(z)/a(z) with design metadata.
+    """Digital IIR transfer function b(z)/a(z) of band-pass order ``order``.
 
     Invariants checked on construction: a[0] is exactly 1 and every pole
     lies strictly inside the unit circle (radius < 1 - 1e-8).
@@ -27,9 +28,6 @@ class FilterCoefficients:
     numerator: np.ndarray
     denominator: np.ndarray
     order: int
-    lo_hz: float
-    hi_hz: float
-    fs_hz: float
 
     def __post_init__(self):
         b = np.asarray(self.numerator, dtype=float)
@@ -65,8 +63,10 @@ def design_butterworth_bandpass(order, lo_hz, hi_hz, fs_hz):
     """
     if not isinstance(order, numbers.Integral) or order <= 0 or order % 2 != 0:
         raise InvalidBand("order must be a positive even integer, got %r" % (order,))
-    if not (all(isinstance(v, numbers.Real) for v in (lo_hz, hi_hz, fs_hz))
-            and 0 < lo_hz < hi_hz < fs_hz / 2 < np.inf):
+    # finite floats only: an int above the largest float overflows fs_hz / 2
+    if not (all(isinstance(v, numbers.Real) and abs(v) <= sys.float_info.max
+                for v in (lo_hz, hi_hz, fs_hz))
+            and 0 < lo_hz < hi_hz < fs_hz / 2):
         raise InvalidBand("need real 0 < lo < hi < fs/2 < inf, got lo=%r hi=%r "
                           "fs=%r" % (lo_hz, hi_hz, fs_hz))
     m = order // 2
@@ -96,7 +96,7 @@ def design_butterworth_bandpass(order, lo_hz, hi_hz, fs_hz):
     a = np.real(np.poly(z_poles))
     a = a / a[0]
     a[0] = 1.0
-    return FilterCoefficients(b, a, order, float(lo_hz), float(hi_hz), float(fs_hz))
+    return FilterCoefficients(b, a, order)
 
 
 def filter_zero_phase(coeffs, x):
@@ -104,9 +104,14 @@ def filter_zero_phase(coeffs, x):
 
     The input is extended with 3 x order reflected samples on each side
     before filtering and trimmed afterwards, so startup transients do not
-    reach the signal. Output length equals input length.
+    reach the signal. Output length equals input length. The input must
+    be 1-D and finite.
     """
     x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise InvariantViolation("need a 1-D signal, got %d-D" % x.ndim)
+    if not np.isfinite(x).all():
+        raise NonFiniteSample("signal holds a NaN or infinite sample")
     pad = 3 * coeffs.order
     if x.size <= pad:
         raise SignalTooShort(

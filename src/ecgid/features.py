@@ -99,7 +99,8 @@ class FeatureMatrix:
 
 
 def take_rows(m, index):
-    """Row-subset preserving labels and layout."""
+    """Row-subset preserving labels and layout; it counts no skipped beats,
+    which belong to the whole matrix."""
     index = np.asarray(index)
     if index.ndim != 1:
         raise InvariantViolation("row index is %d-D, not 1-D" % index.ndim)
@@ -117,7 +118,6 @@ def take_rows(m, index):
         tuple(m.subject_ids[i] for i in index),
         tuple(m.conditions[i] for i in index),
         m.layout_id,
-        m.skipped,
     )
 
 

@@ -24,6 +24,7 @@ from .features import FeatureMatrix
 from .ingest import CONDITIONS, _write_lines
 
 SIGMA_FLOOR = 1e-6
+PCA_VARIANCE_RETAINED = 0.99  # the explained-variance share a PCA keeps
 
 
 # ===== PCA ================================================================
@@ -54,23 +55,12 @@ class PcaModel:
             raise InvariantViolation("retained count k out of range")
 
 
-def pca_fit(m, variance_retained=0.99):
-    """Fit PCA on the rows of ``m``.
+def pca_fit(m):
+    """Fit PCA on the rows of FeatureMatrix ``m``.
 
-    Parameters
-    ----------
-    m : FeatureMatrix
-    variance_retained : float in (0, 1]
-        k is the smallest component count whose cumulative explained
-        variance reaches this fraction, capped at min(dim, rows-1).
-
-    Returns
-    -------
-    PcaModel
+    k is the smallest component count whose cumulative explained variance
+    reaches PCA_VARIANCE_RETAINED, capped at min(dim, rows-1).
     """
-    if not (isinstance(variance_retained, numbers.Real)
-            and 0 < variance_retained <= 1):
-        raise InvariantViolation("variance_retained must be in (0, 1]")
     x = m.values
     n, d = x.shape
     if n < 2:
@@ -113,7 +103,7 @@ def pca_fit(m, variance_retained=0.99):
         k = 1
     else:
         frac = np.cumsum(var) / total
-        reached = np.flatnonzero(frac >= variance_retained - 1e-12)
+        reached = np.flatnonzero(frac >= PCA_VARIANCE_RETAINED - 1e-12)
         k = int(reached[0]) + 1 if reached.size else var.size
     k = max(1, min(k, comp.shape[0]))
     return PcaModel(mean, comp, var, k)
@@ -186,7 +176,6 @@ class SelectionWeights:
     w2: np.ndarray
     lam: float
     selected: tuple
-    top_n: int
 
     def __post_init__(self):
         for name in ("w", "w1", "w2"):
@@ -194,20 +183,16 @@ class SelectionWeights:
         object.__setattr__(self, "selected", tuple(int(i) for i in self.selected))
         if not 0 <= self.lam <= 1:
             raise InvariantViolation("lambda must lie in [0, 1]")
-        if not 1 <= self.top_n <= self.w.size:
-            raise InvariantViolation("top_n must lie in [1, dim]")
-        if len(self.selected) != self.top_n:
-            raise InvariantViolation("selected must hold top_n indices")
         if np.any(self.w1 < 0) or np.any(self.w2 < 0):
             raise InvariantViolation("w1/w2 are sums of divergences, >= 0")
         recomputed = self.lam * self.w1 - (1.0 - self.lam) * self.w2
         if not np.array_equal(recomputed, self.w):
             raise InvariantViolation("w must equal lambda*w1 - (1-lambda)*w2")
         ranked = rank_descending(self.w)
-        if list(self.selected) != list(ranked[:self.top_n]):
-            raise InvariantViolation(
-                "selected must be the top weights, ties by ascending index"
-            )
+        if not self.selected or \
+                list(self.selected) != list(ranked[:len(self.selected)]):
+            raise InvariantViolation("selected must be the top weights, ties "
+                                     "by ascending index, and not empty")
 
 
 def rank_descending(w):
@@ -232,13 +217,15 @@ def select_features(aux, lam, top_n):
     -------
     SelectionWeights
     """
+    if not (isinstance(top_n, numbers.Integral) and 1 <= top_n <= aux.dim):
+        raise InvariantViolation("top_n must lie in [1, dim]")
     w1, w2 = _weight_vectors(aux)
     w = lam * w1 - (1.0 - lam) * w2
     if not np.isfinite([w1, w2]).all():
         raise InvariantViolation("selection weights are not finite: the "
                                  "feature values are too large to score")
     selected = tuple(int(i) for i in rank_descending(w)[:top_n])
-    return SelectionWeights(w, w1, w2, lam, selected, top_n)
+    return SelectionWeights(w, w1, w2, lam, selected)
 
 
 def apply_selection(weights, m):
@@ -257,7 +244,8 @@ def apply_selection(weights, m):
 # ===== persistence ========================================================
 
 def save_selection_weights(weights, path):
-    lines = ["lambda=%s,top_n=%d" % (repr(float(weights.lam)), weights.top_n)]
+    lines = ["lambda=%s,top_n=%d" % (repr(float(weights.lam)),
+                                     len(weights.selected))]
     flags = np.zeros(weights.w.size, dtype=int)
     flags[list(weights.selected)] = 1
     for i in range(weights.w.size):

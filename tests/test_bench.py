@@ -292,6 +292,16 @@ def test_split_empty_cohort_raises():
         split_protocol(m, "rest_rest")
 
 
+def test_split_sides_count_no_skipped_beats(small_manifest):
+    # take_rows used to copy the whole matrix's count onto each record's
+    # rows, so each side here read 15 of the cohort's 5 skipped beats
+    cfg = PipelineConfig(stage="ac", window_s=2.0)
+    m, skipped = cohort_matrix(small_manifest, cfg, "rest_rest", 0)
+    split = split_protocol(m, "rest_rest")
+    assert skipped == m.skipped == 5
+    assert (split.train.skipped, split.test.skipped) == (0, 0)
+
+
 def test_split_unknown_protocol():
     m = toy_matrix([("s00", "rest", 30)])
     with pytest.raises(InvariantViolation):
@@ -676,7 +686,7 @@ def test_sweep_featurizes_and_selects_once(fused_manifest, monkeypatch):
 
 def test_warm_fused_run_keeps_one_copy_of_its_rows(fused_manifest):
     # The tracemalloc peak of a run on a warm cache, in units of its
-    # split's row bytes, is 2.54 here. It was 3.54 while the stacked cohort
+    # split's row bytes, is 1.54 here. It was 3.54 while the stacked cohort
     # outlived the split; one more copy of the training rows in any step
     # also crosses the bound.
     cfg = PipelineConfig(stage="fused", normalize=True)

@@ -163,7 +163,7 @@ def test_smo_separable_converges_and_separates():
     m = separable_matrix()
     y = np.where(np.array(m.subject_ids) == "a", 1.0, -1.0)
     gram = rbf_gram(m.values, 1.0)
-    res = smo_solve(gram, y, c=100.0, tol=1e-3, max_epochs=200)
+    res = smo_solve(gram, y, c=100.0, tol=1e-3)
     assert res.converged
     assert res.kkt_violation <= 1e-3
     f = (res.alpha * y) @ gram + res.bias
@@ -178,7 +178,7 @@ def test_smo_alpha_within_box():
     assert np.all(res.alpha <= 5.0)
 
 
-def test_smo_objective_non_decreasing():
+def test_smo_objective_non_decreasing(monkeypatch):
     # the dual objective sum(alpha) - (alpha*y)' K (alpha*y) / 2 never falls
     # as the update budget grows one epoch at a time; overlapping classes
     # take several epochs to converge
@@ -188,7 +188,8 @@ def test_smo_objective_non_decreasing():
     epochs = smo_solve(gram, y).epochs_run
     dual = []
     for max_epochs in range(1, epochs + 2):
-        ay = smo_solve(gram, y, max_epochs=max_epochs).alpha * y
+        monkeypatch.setattr(classify, "MAX_EPOCHS", max_epochs)
+        ay = smo_solve(gram, y).alpha * y
         dual.append(np.sum(np.abs(ay)) - 0.5 * ay @ gram @ ay)
     assert epochs >= 3
     assert np.all(np.diff(dual) >= -1e-8)
@@ -217,14 +218,15 @@ def test_smo_rejects_bad_labels():
         smo_solve(np.eye(3), np.ones(3))  # one class: the bias is undefined
 
 
-def test_smo_unconverged_is_flagged_not_raised():
+def test_smo_unconverged_is_flagged_not_raised(monkeypatch):
     rng = np.random.default_rng(5)
     x = rng.normal(size=(40, 2))  # fully overlapping classes
     y = np.where(np.arange(40) % 2 == 0, 1.0, -1.0)
-    res = smo_solve(rbf_gram(x, 1.0), y, c=100.0, max_epochs=1)
+    monkeypatch.setattr(classify, "MAX_EPOCHS", 1)
+    res = smo_solve(rbf_gram(x, 1.0), y, c=100.0)
     assert not res.converged
     assert res.kkt_violation > 1e-3
-    assert res.epochs_run <= 1  # max_epochs * n pair updates at most
+    assert res.epochs_run <= 1  # MAX_EPOCHS * n pair updates at most
 
 
 # ===== one-vs-one SVM =====================================================
@@ -316,7 +318,7 @@ def test_svm_rejects_a_bad_c_or_gamma(name, value):
         svm_train(m, **{name: value})
 
 
-def test_svm_pairs_equal_one_problem_solves():
+def test_svm_pairs_equal_one_problem_solves(monkeypatch):
     # unequal class sizes, so the batched state has padding slots and the
     # pairs stop after different numbers of updates
     rng = np.random.default_rng(12)
@@ -327,7 +329,8 @@ def test_svm_pairs_equal_one_problem_solves():
     m = toy_matrix(vals, labels)
     unconverged = 0
     for max_epochs in (200, 1):
-        model = svm_train(m, c=10.0, max_epochs=max_epochs)
+        monkeypatch.setattr(classify, "MAX_EPOCHS", max_epochs)
+        model = svm_train(m, c=10.0)
         gram = rbf_gram(model.sv_matrix, 1.0)
         rows = {lab: np.flatnonzero(np.array(sorted(labels)) == lab)
                 for lab in sizes}
@@ -336,8 +339,7 @@ def test_svm_pairs_equal_one_problem_solves():
             ix = np.concatenate([rows[pair.label_pos], rows[pair.label_neg]])
             y = np.where(np.arange(ix.size) < rows[pair.label_pos].size,
                          1.0, -1.0)
-            res = smo_solve(gram[np.ix_(ix, ix)], y, c=10.0,
-                            max_epochs=max_epochs)
+            res = smo_solve(gram[np.ix_(ix, ix)], y, c=10.0)
             keep = res.alpha > ALPHA_EPS
             assert np.array_equal(pair.sv_idx, ix[keep])
             assert np.array_equal(pair.coef, res.alpha[keep] * y[keep])
@@ -348,14 +350,14 @@ def test_svm_pairs_equal_one_problem_solves():
             idx.append(ix)
             ys.append(y)
             solo.append(res)
-        batch = _smo_batch(gram, idx, ys, 10.0, 1e-3, max_epochs)
+        batch = _smo_batch(gram, idx, ys, 10.0, 1e-3)
         for got, want in zip(batch, solo):
             assert np.array_equal(got.alpha, want.alpha)
             assert got.bias == want.bias
             assert got.converged == want.converged
             assert got.epochs_run == want.epochs_run
             assert got.kkt_violation == want.kkt_violation
-    assert unconverged > 0  # the max_epochs=1 budget stops some pairs
+    assert unconverged > 0  # the MAX_EPOCHS=1 budget stops some pairs
 
 
 def test_svm_predict_dimension_mismatch():

@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ecgid.detect import detect_r_peaks
 from ecgid.dsp import (
     FilterCoefficients,
     design_butterworth_bandpass,
@@ -17,7 +18,12 @@ from ecgid.dsp import (
     hamming_window,
     preprocess_ecg,
 )
-from ecgid.errors import InvalidBand, SignalTooShort
+from ecgid.errors import (
+    InvalidBand,
+    InvariantViolation,
+    NonFiniteSample,
+    SignalTooShort,
+)
 from ecgid.features import stft_of_window
 
 
@@ -55,8 +61,10 @@ def test_design_rejects_bad_bands():
 
 @pytest.mark.parametrize("lo, hi, fs", [
     ("1", 10.0, 300.0), (1.0, None, 300.0), (1.0, 10.0, None),
-    (1.0, 10.0, "300"), (1.0, 10.0, np.inf), (np.nan, 10.0, 300.0)],
-    ids=["str-lo", "none-hi", "none-fs", "str-fs", "inf-fs", "nan-lo"])
+    (1.0, 10.0, "300"), (1.0, 10.0, np.inf), (np.nan, 10.0, 300.0),
+    (1.0, 10.0, 10**400), (1.0, 10**400, np.float64(300.0))],
+    ids=["str-lo", "none-hi", "none-fs", "str-fs", "inf-fs", "nan-lo",
+         "int-fs-above-any-float", "int-hi-above-any-float"])
 def test_design_rejects_edges_and_rates_that_are_no_finite_reals(lo, hi, fs):
     # an infinite rate used to pass the band check and fail in the design,
     # with RuntimeWarnings first; here a warning fails the test
@@ -72,7 +80,7 @@ def test_design_normalized_and_sized():
     c = design_butterworth_bandpass(4, 0.5, 40.0, 300.0)
     assert c.denominator[0] == 1.0
     assert len(c.numerator) == 5 and len(c.denominator) == 5
-    assert (c.order, c.lo_hz, c.hi_hz, c.fs_hz) == (4, 0.5, 40.0, 300.0)
+    assert c.order == 4
 
 
 def test_unit_circle_probes_main_band():
@@ -137,6 +145,36 @@ def test_zero_phase_too_short():
     c = design_butterworth_bandpass(4, 0.5, 40.0, 300.0)
     with pytest.raises(SignalTooShort):
         filter_zero_phase(c, np.zeros(12))  # needs > 3*order = 12
+
+
+FILTER_ENTRIES = {
+    "filter_zero_phase": lambda x: filter_zero_phase(
+        design_butterworth_bandpass(4, 0.5, 40.0, 300.0), x),
+    "preprocess_ecg": lambda x: preprocess_ecg(x, 300.0),
+    "detect_r_peaks": lambda x: detect_r_peaks(x, 300.0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(FILTER_ENTRIES))
+def test_filtering_rejects_a_signal_that_is_not_1d(entry):
+    # a 2-D signal used to come back from preprocess_ecg as a (0, 3000) array
+    for x in (np.zeros((2, 3000)), np.zeros((3000, 1)), np.float64(1.0)):
+        with pytest.raises(InvariantViolation, match="need a 1-D signal"):
+            FILTER_ENTRIES[entry](x)
+
+
+@pytest.mark.parametrize("entry", sorted(FILTER_ENTRIES))
+def test_filtering_rejects_non_finite_samples(entry):
+    # an all-NaN signal used to come back all NaN, and one NaN sample made
+    # detect_r_peaks raise NoBeatsFound
+    t = np.arange(3000) / 300.0
+    x = np.sin(2.0 * np.pi * 1.2 * t)
+    for bad in (np.nan, np.inf, -np.inf):
+        for where in (slice(None), slice(1500, 1501)):
+            y = x.copy()
+            y[where] = bad
+            with pytest.raises(NonFiniteSample, match="NaN or infinite"):
+                FILTER_ENTRIES[entry](y)
 
 
 def test_zero_phase_linearity():
@@ -238,4 +276,4 @@ def test_spectrum_parseval_consistency():
 
 def test_filter_coefficients_validation():
     with pytest.raises(InvalidBand):
-        FilterCoefficients(np.array([1.0, 0.0]), np.array([2.0, 0.0]), 1, 1, 2, 10)
+        FilterCoefficients(np.array([1.0, 0.0]), np.array([2.0, 0.0]), 1)

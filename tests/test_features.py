@@ -55,7 +55,6 @@ from ecgid.ingest import (
     generate_subject_params,
     synthesize_record,
 )
-from ecgid.select import pca_fit
 from ecgid.wavelets import mother_wavelet, wavelet_kernel
 
 
@@ -369,14 +368,12 @@ TOY = FeatureMatrix(np.arange(12.0).reshape(4, 3), ("a", "b", "a", "b"),
      "n_lags 1 exceeds half the window length 0"),
     (lambda: autocorr_features(np.ones(10), 2.5), InvariantViolation,
      "n_lags must be an integer >= 1"),
-    (lambda: pca_fit(TOY, variance_retained="x"), InvariantViolation,
-     r"variance_retained must be in \(0, 1\]"),
     (lambda: design_butterworth_bandpass(4.0, 1.0, 10.0, 300.0), InvalidBand,
      "order must be a positive even integer, got 4.0")],
     ids=["knn-fractional-k", "take_rows-2d-index", "cwt-empty-window",
          "stft-short-window", "stft-0d-window", "cwt-0d-window",
          "autocorr-0d-window", "autocorr-fractional-lags",
-         "pca-str-variance", "butterworth-float-order"])
+         "butterworth-float-order"])
 def test_malformed_arguments_raise_typed_errors(call, error, message):
     with pytest.raises(error, match=message):
         call()

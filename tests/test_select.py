@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ecgid import select
 from ecgid.errors import (
     DimensionMismatch,
     InvariantViolation,
@@ -22,6 +23,12 @@ from ecgid.select import (
     save_selection_weights,
     select_features,
 )
+
+
+def pca_fit_at(monkeypatch, m, share):
+    """pca_fit with PCA_VARIANCE_RETAINED set to share."""
+    monkeypatch.setattr(select, "PCA_VARIANCE_RETAINED", share)
+    return pca_fit(m)
 
 
 def toy_matrix(values, sids, conds, layout="toy"):
@@ -194,10 +201,11 @@ def test_select_validates_lambda_and_top_n():
         select_features(aux, 1.1, top_n=1)
     with pytest.raises(InvariantViolation, match="lambda"):
         select_features(aux, float("nan"), top_n=1)
-    with pytest.raises(InvariantViolation):
-        select_features(aux, 0.3, top_n=0)
-    with pytest.raises(InvariantViolation):
-        select_features(aux, 0.3, top_n=aux.dim + 1)
+    # 1.5 used to raise a raw TypeError
+    for top_n in (0, aux.dim + 1, 1.5):
+        with pytest.raises(InvariantViolation, match=r"top_n must lie in "
+                                                     r"\[1, dim\]"):
+            select_features(aux, 0.3, top_n=top_n)
 
 
 def test_select_rejects_feature_values_too_large_to_score():
@@ -216,20 +224,16 @@ def test_selection_weights_invariants():
     w1 = np.array([2.0, 1.0])
     w2 = np.array([0.5, 0.5])
     w = 0.5 * w1 - 0.5 * w2
-    SelectionWeights(w, w1, w2, 0.5, (0,), 1)
+    SelectionWeights(w, w1, w2, 0.5, (0,))
     with pytest.raises(InvariantViolation):
-        SelectionWeights(w + 1e-6, w1, w2, 0.5, (0,), 1)
+        SelectionWeights(w + 1e-6, w1, w2, 0.5, (0,))
     with pytest.raises(InvariantViolation):
-        SelectionWeights(w, w1, w2, 0.5, (1,), 1)  # not the top weight
-    with pytest.raises(InvariantViolation):
-        SelectionWeights(w, -w1, w2, 0.5, (0,), 1)
-    SelectionWeights(w, w1, w2, 0.5, (0, 1), 2)
-    for selected, top_n in (((), 0), ((0,), -1), ((0, 1), 3), ((0,), -5)):
-        with pytest.raises(InvariantViolation, match=r"top_n must lie"):
-            SelectionWeights(w, w1, w2, 0.5, selected, top_n)
-    for selected, top_n in (((0,), 2), ((0, 1), 1), ((), 1)):
-        with pytest.raises(InvariantViolation, match=r"hold top_n"):
-            SelectionWeights(w, w1, w2, 0.5, selected, top_n)
+        SelectionWeights(w, -w1, w2, 0.5, (0,))
+    SelectionWeights(w, w1, w2, 0.5, (0, 1))
+    # not the top weights, an empty selection, or more indices than weights
+    for selected in ((1,), (1, 0), (), (0, 1, 0)):
+        with pytest.raises(InvariantViolation, match=r"top weights.*not empty"):
+            SelectionWeights(w, w1, w2, 0.5, selected)
 
 
 def test_apply_selection_orders_columns():
@@ -252,7 +256,7 @@ def test_selection_weights_round_trip(tmp_path):
     path = tmp_path / "weights.csv"
     save_selection_weights(sw, path)
     head, *rows = path.read_text(encoding="utf-8").split("\n")[:-1]
-    assert head == "lambda=%r,top_n=%d" % (sw.lam, sw.top_n)
+    assert head == "lambda=%r,top_n=2" % sw.lam
     fields = np.array([row.split(",") for row in rows], dtype=float)
     assert np.array_equal(fields[:, 0], np.arange(sw.w.size))
     assert np.array_equal(fields[:, 1], sw.w)
@@ -282,9 +286,9 @@ def random_matrix(n, d, seed, scales=None):
     return toy_matrix(x, sids, conds)
 
 
-def test_pca_matches_eigh_oracle():
+def test_pca_matches_eigh_oracle(monkeypatch):
     m = random_matrix(40, 8, seed=0, scales=[8, 5, 3, 2, 1, 0.5, 0.3, 0.1])
-    model = pca_fit(m, variance_retained=1.0)
+    model = pca_fit_at(monkeypatch, m, 1.0)
     xc = m.values - m.values.mean(axis=0)
     cov = xc.T @ xc / (m.n_rows - 1)
     eigval, eigvec = np.linalg.eigh(cov)
@@ -294,38 +298,38 @@ def test_pca_matches_eigh_oracle():
     assert np.allclose(model.components, oracle, atol=1e-8)
 
 
-def test_pca_axis_aligned():
+def test_pca_axis_aligned(monkeypatch):
     m = random_matrix(500, 3, seed=1, scales=[10.0, 2.0, 0.5])
-    model = pca_fit(m, variance_retained=1.0)
+    model = pca_fit_at(monkeypatch, m, 1.0)
     expect = np.eye(3)
     for i in range(3):
         assert np.max(np.abs(np.abs(model.components[i]) - expect[i])) < 0.05
 
 
-def test_pca_k_tracks_variance_retained():
+def test_pca_k_tracks_variance_retained(monkeypatch):
     rng = np.random.default_rng(2)
     base = rng.normal(size=(200, 3)) * np.array([10.0, 1.0, 1e-4])
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     m = toy_matrix(base @ q, ["s%02d" % (i % 4) for i in range(200)],
                    ["rest"] * 200)
-    lo = pca_fit(m, variance_retained=0.9)
-    hi = pca_fit(m, variance_retained=0.999)
+    lo = pca_fit_at(monkeypatch, m, 0.9)
+    hi = pca_fit_at(monkeypatch, m, 0.999)
     assert lo.k == 1
     assert hi.k == 2
 
 
-def test_pca_k_capped_by_rows():
+def test_pca_k_capped_by_rows(monkeypatch):
     m = random_matrix(3, 10, seed=3)
-    model = pca_fit(m, variance_retained=1.0)
+    model = pca_fit_at(monkeypatch, m, 1.0)
     assert model.components.shape[0] <= 2
     assert model.k <= 2
 
 
-def test_pca_gram_route_matches_direct():
+def test_pca_gram_route_matches_direct(monkeypatch):
     rng = np.random.default_rng(4)
     x = rng.normal(size=(20, 50)) * np.linspace(3, 0.1, 50)
     m = toy_matrix(x, ["s%02d" % (i % 4) for i in range(20)], ["rest"] * 20)
-    model = pca_fit(m, variance_retained=1.0)
+    model = pca_fit_at(monkeypatch, m, 1.0)
     xc = x - x.mean(axis=0)
     cov = xc.T @ xc / 19.0
     eigval, eigvec = np.linalg.eigh(cov)
@@ -335,9 +339,9 @@ def test_pca_gram_route_matches_direct():
     assert np.max(np.abs(model.components - oracle)) < 1e-7
 
 
-def test_pca_full_reconstruction():
+def test_pca_full_reconstruction(monkeypatch):
     m = random_matrix(40, 6, seed=5, scales=[5, 4, 3, 2, 1, 0.5])
-    model = pca_fit(m, variance_retained=1.0)
+    model = pca_fit_at(monkeypatch, m, 1.0)
     proj = pca_transform(model, m)
     recon = proj.values @ model.components[:model.k] + model.mean
     assert np.max(np.abs(recon - m.values)) < 1e-8
@@ -345,15 +349,15 @@ def test_pca_full_reconstruction():
 
 def test_pca_transform_centers_training_data():
     m = random_matrix(60, 5, seed=6, scales=[4, 3, 2, 1, 0.5])
-    model = pca_fit(m, variance_retained=0.99)
+    model = pca_fit(m)
     proj = pca_transform(model, m)
     assert np.max(np.abs(proj.values.mean(axis=0))) < 1e-9
     assert proj.layout_id == "toy>pca%d" % model.k
 
 
-def test_pca_projection_non_expansive():
+def test_pca_projection_non_expansive(monkeypatch):
     m = random_matrix(30, 6, seed=7, scales=[5, 4, 3, 2, 1, 0.5])
-    model = pca_fit(m, variance_retained=0.95)
+    model = pca_fit_at(monkeypatch, m, 0.95)
     proj = pca_transform(model, m).values
     x = m.values
     rng = np.random.default_rng(8)
@@ -372,8 +376,6 @@ def test_pca_errors():
     model = pca_fit(big)
     with pytest.raises(DimensionMismatch):
         pca_transform(model, random_matrix(10, 5, seed=11))
-    with pytest.raises(InvariantViolation):
-        pca_fit(big, variance_retained=0.0)
 
 
 def test_pca_model_invariants():
@@ -385,8 +387,8 @@ def test_pca_model_invariants():
         PcaModel(np.zeros(2), np.eye(2), np.array([2.0, 1.0]), 3)
 
 
-def test_pca_deterministic_sign():
+def test_pca_deterministic_sign(monkeypatch):
     m = random_matrix(40, 8, seed=12, scales=[8, 5, 3, 2, 1, 0.5, 0.3, 0.1])
-    model = pca_fit(m, variance_retained=1.0)
+    model = pca_fit_at(monkeypatch, m, 1.0)
     for row in model.components:
         assert row[int(np.argmax(np.abs(row)))] > 0
