@@ -25,6 +25,7 @@ ALPHA_EPS = 1e-12
 TAU = 1e-12  # floor on the pair curvature a, as in LIBSVM
 BLOCK_ROWS = 256  # rows per block of the kernel's norm, exp and mirror steps
 MAX_EPOCHS = 200  # SMO makes at most MAX_EPOCHS * n pair updates on n rows
+EXP_UNDERFLOW = 746.0  # exp(-x) is 0.0 for x > 1075 ln 2 = 745.13
 
 
 # ===== kernel =============================================================
@@ -37,6 +38,28 @@ def _row_norms(a):
         blk = a[r:r + BLOCK_ROWS]
         out[r:r + BLOCK_ROWS] = (blk * blk).sum(axis=1)
     return out
+
+
+def _kernel_underflows(values, sv, used, na, nb, gamma):
+    """Whether exp(-gamma d2), as _rbf_in_place makes it, is 0.0 for all
+    rows of values and sv[used]: d2 >= na + nb - 2 a.b, a and b the norms
+    of 1, then 64, column blocks. Each bound and d2 lie within (2 dim + 72)
+    u (na + nb) of exact, u = eps/2: the slack 4 (dim + 64) eps covers both."""
+    slack = 4 * (values.shape[1] + 64) * np.finfo(float).eps
+    x, y = np.sqrt(na), np.sort(np.append(np.sqrt(nb), (-np.inf, np.inf)))
+    k = np.searchsorted(y, x).clip(1, len(y) - 1)  # y[k - 1] < x <= y[k]
+    near = np.minimum(x - y[k - 1], y[k] - x)
+    lo = gamma * (near * near - slack * (na + nb.max(initial=0.0)))
+    rest = np.flatnonzero(~(lo > EXP_UNDERFLOW))  # NaN proves nothing
+    if rest.size in (0, len(values)):  # every row proven, or none
+        return rest.size < len(values)
+    edges = np.arange(0, values.shape[1], -(-values.shape[1] // 64))
+    a, b = (np.sqrt(np.vstack([  # as _row_norms: BLOCK_ROWS rows at a time
+        np.add.reduceat(np.square(m[r:r + BLOCK_ROWS]), edges, axis=1)
+        for r in range(0, len(m), BLOCK_ROWS)])) for m in (values, sv))
+    lo = (na[rest, None] + nb) * (1.0 - slack)
+    lo -= 2.0 * (a[rest] @ b[used].T)
+    return bool(np.all(gamma * lo > EXP_UNDERFLOW))
 
 
 def _distances_in_place(ab, na, nb, scratch):
@@ -363,6 +386,8 @@ def svm_decision_values(model, values):
     values = np.asarray(values, float)
     used = np.unique(np.concatenate([p.sv_idx for p in model.pairs]))
     na, nb = _row_norms(values), _row_norms(model.sv_matrix)[used]
+    if _kernel_underflows(values, model.sv_matrix, used, na, nb, model.gamma):
+        return np.tile([p.bias for p in model.pairs], (len(values), 1))
     ab = values @ model.sv_matrix.T
     kt = np.empty((used.size, len(values)))
     for r in range(0, len(values), BLOCK_ROWS):

@@ -75,7 +75,7 @@ def qrs_width_bounds(fs_hz):
 def pt_bandpass(x, fs_hz):
     """Zero-phase order-4 band-pass over the 5-15 Hz QRS energy band."""
     coeffs = design_butterworth_bandpass(4, 5.0, 15.0, fs_hz)
-    return filter_zero_phase(coeffs, np.asarray(x, dtype=float))
+    return filter_zero_phase(coeffs, x)
 
 
 def derivative_filter(x):
@@ -173,9 +173,9 @@ def detect_r_peaks(x, fs_hz):
     NoBeatsFound
         Fewer than two beats survive acceptance and boundary clamping.
     """
+    filtered = pt_bandpass(x, fs_hz)  # checks x and fs_hz before they are read
     x = np.asarray(x, dtype=float)
     n = x.size
-    filtered = pt_bandpass(x, fs_hz)  # checks fs_hz before int() reads it
     init_n = int(round(2 * fs_hz))
     if n < init_n:
         raise SignalTooShort("detection needs at least 2 s of signal")

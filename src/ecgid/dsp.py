@@ -34,6 +34,8 @@ class FilterCoefficients:
         a = np.asarray(self.denominator, dtype=float)
         object.__setattr__(self, "numerator", b)
         object.__setattr__(self, "denominator", a)
+        if not (np.isfinite(b).all() and np.isfinite(a).all()):
+            raise InvalidBand("coefficients must be finite")
         if a[0] != 1.0:
             raise InvalidBand("denominator must be normalized to a[0] = 1")
         roots = np.roots(a)
@@ -69,6 +71,9 @@ def design_butterworth_bandpass(order, lo_hz, hi_hz, fs_hz):
             and 0 < lo_hz < hi_hz < fs_hz / 2):
         raise InvalidBand("need real 0 < lo < hi < fs/2 < inf, got lo=%r hi=%r "
                           "fs=%r" % (lo_hz, hi_hz, fs_hz))
+    # the gain's denominator is at least (2 fs)^order: it must be a float
+    if fs_hz > sys.float_info.max ** (1.0 / order) / 2:
+        raise InvalidBand("rate %r too high for order %d" % (fs_hz, order))
     m = order // 2
 
     # pre-warp the band edges so the bilinear transform lands them exactly
@@ -105,9 +110,12 @@ def filter_zero_phase(coeffs, x):
     The input is extended with 3 x order reflected samples on each side
     before filtering and trimmed afterwards, so startup transients do not
     reach the signal. Output length equals input length. The input must
-    be 1-D and finite.
+    be 1-D, numeric and finite.
     """
-    x = np.asarray(x, dtype=float)
+    try:
+        x = np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as e:
+        raise InvariantViolation("need a numeric signal: %s" % e) from None
     if x.ndim != 1:
         raise InvariantViolation("need a 1-D signal, got %d-D" % x.ndim)
     if not np.isfinite(x).all():
@@ -130,7 +138,7 @@ def filter_zero_phase(coeffs, x):
 def preprocess_ecg(x, fs_hz, lo_hz=BAND_HZ[0], hi_hz=BAND_HZ[1]):
     """Standard front-end: zero-phase order-4 band-pass, default BAND_HZ."""
     coeffs = design_butterworth_bandpass(4, lo_hz, hi_hz, fs_hz)
-    return filter_zero_phase(coeffs, np.asarray(x, dtype=float))
+    return filter_zero_phase(coeffs, x)
 
 
 def hamming_window(n):

@@ -1,5 +1,6 @@
 """Tests for the SMO-trained one-vs-one SVM and the kNN baseline."""
 
+import tracemalloc
 from unittest import mock
 
 import kernel_oracle
@@ -156,6 +157,105 @@ def test_decision_values_are_bit_identical_to_the_full_kernel(width, kind):
     if kind == "no_support":
         assert np.array_equal(got, np.broadcast_to(
             [p.bias for p in model.pairs], got.shape))
+
+
+def test_exp_underflow_is_just_past_the_last_subnormal():
+    # exp(-x) rounds to 0.0 for x > 1075 ln 2; the guard's margin between
+    # that and EXP_UNDERFLOW covers the rounding of gamma * d2
+    assert np.exp(-classify.EXP_UNDERFLOW) == 0.0
+    assert 1075 * np.log(2) < classify.EXP_UNDERFLOW < 747.0
+    assert np.all(np.exp(-np.linspace(745.14, classify.EXP_UNDERFLOW)) == 0.0)
+    assert np.exp(-745.0) > 0.0
+
+
+SV_NORMS = (20.0, 21.0, 22.0, 23.0)
+
+
+def far_model(width, biases=(0.3, -0.2, 0.1)):
+    """Three classes whose four support rows lie on the last four columns,
+    in the last one or two of the 64 column blocks, at norms SV_NORMS;
+    gamma = 1."""
+    sv = np.zeros((len(SV_NORMS), width))
+    sv[np.arange(len(SV_NORMS)), width - 1 - np.arange(len(SV_NORMS))] = \
+        SV_NORMS
+    pairs = (PairModel("a", "b", np.array([0, 1]), np.array([0.7, -0.7]),
+                       biases[0], True, 0.0),
+             PairModel("a", "c", np.array([0, 2, 3]),
+                       np.array([0.5, -0.25, -0.25]), biases[1], True, 0.0),
+             PairModel("b", "c", np.array([1, 3]), np.array([0.4, -0.4]),
+                       biases[2], True, 0.0))
+    return SvmModel(("a", "b", "c"), 1.0, 1.0, sv, pairs)
+
+
+def guard_rows(width, kind):
+    """Test rows for far_model, and whether they prove its kernel zero.
+    "past" and "short": rows on the farthest support row's axis, where the
+    whole-norm bound is d2 itself, at gamma d2 = EXP_UNDERFLOW (1 +- 1e-9)
+    and beyond; "short" also holds a far row, so that its near row reaches
+    the block bound too. "block": rows as long as the support rows but on
+    the first columns, which only the block bound proves. "broken":
+    one more row, in the support rows' block and at gamma d2 >= 861 from
+    each, which the block bound cannot prove."""
+    def row(col, value):
+        out = np.zeros(width)
+        out[col] = value
+        return out
+
+    t = classify.EXP_UNDERFLOW
+    on_axis = [row(-4, SV_NORMS[-1] + np.sqrt(d2))
+               for d2 in (1e4, t * (1 - 1e-9), t * (1 + 1e-9), 2 * t)]
+    if kind in ("past", "zero_bias"):
+        rows = [on_axis[0]] + on_axis[2:]
+    elif kind == "short":
+        rows = on_axis[:2]
+    else:
+        rows = [on_axis[0]] + [row(i, n) for i, n in enumerate(SV_NORMS)]
+        if kind == "broken":
+            rows.append(row(-1, -20.5))
+    return np.array(rows), kind in ("past", "zero_bias", "block")
+
+
+@pytest.mark.parametrize("kind", ["past", "short", "block", "broken",
+                                  "zero_bias"])
+def test_decision_values_skip_only_a_kernel_proven_zero(kind):
+    width = 128  # 64 column blocks of two columns
+    model = far_model(width, (0.0, 0.0, 0.0) if kind == "zero_bias"
+                      else (0.3, -0.2, 0.1))
+    values, proven = guard_rows(width, kind)
+    with mock.patch.object(classify, "_rbf_in_place",
+                           wraps=classify._rbf_in_place) as rbf:
+        got = svm_decision_values(model, values)
+    assert rbf.called is not proven
+    ref = kernel_oracle.svm_decision_values(model, values)
+    assert np.array_equal(got, ref)
+    # -0.0 >= 0.0, so a zero bias votes alike whatever the sign of its zero
+    pred = svm_predict(model, toy_matrix(values, ["a"] * len(values)))
+    pos, neg = np.array([[0, 0, 1], [1, 2, 2]])
+    assert np.array_equal(
+        pred.votes,
+        classify._vote(np.where(ref >= 0.0, pos, neg), model.classes).votes)
+    if proven:
+        assert np.array_equal(got, np.broadcast_to(
+            [p.bias for p in model.pairs], got.shape))
+
+
+def test_kernel_skip_takes_block_norms_a_block_of_rows_at_a_time():
+    # 768 rows of the fused stage's width that only the block bound
+    # proves: its norms must not square all of them at once
+    width = 10252
+    values = np.zeros((768, width))
+    values[np.arange(768), np.arange(768) % 150] = np.resize(SV_NORMS, 768)
+    values[0, 0] = 1e3  # proven by the whole norms, so the blocks are tried
+    model = far_model(width)
+    tracemalloc.start()
+    try:
+        got = svm_decision_values(model, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, np.broadcast_to(
+        [p.bias for p in model.pairs], got.shape))
+    assert peak <= 0.5 * values.nbytes, peak / values.nbytes
 
 # ===== SMO ================================================================
 

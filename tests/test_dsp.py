@@ -76,6 +76,42 @@ def test_design_rejects_edges_and_rates_that_are_no_finite_reals(lo, hi, fs):
             preprocess_ecg(np.zeros(600), fs, lo, hi)
 
 
+@pytest.mark.parametrize("order, fs", [
+    (4, 1e200), (4, 1e300), (4, np.float64(1e200)), (2, 1e300), (20, 1e16)])
+def test_design_rejects_a_rate_whose_gain_overflows(order, fs):
+    # these raised a raw OverflowError (a Python float rate), or designed
+    # through RuntimeWarnings into a LinAlgError or NaN coefficients
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidBand, match="too high for order %d" % order):
+            design_butterworth_bandpass(order, 0.1 * fs, 0.2 * fs, fs)
+        if order == 4:
+            with pytest.raises(InvalidBand, match="too high for order 4"):
+                preprocess_ecg(np.zeros(1000), fs)
+
+
+@pytest.mark.parametrize("order, fs", [(2, 2.07e151), (4, 2.46e75)])
+def test_design_rejects_non_finite_coefficients(order, fs):
+    # rates under the bound, with the band next to Nyquist: the first gave
+    # a raw LinAlgError from np.roots, the second NaN numerator taps
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(InvalidBand, match="coefficients must be finite"):
+            design_butterworth_bandpass(order, 0.4 * fs, 0.4999 * fs, fs)
+
+
+def test_design_scales_with_the_rate_up_to_the_bound():
+    # the band-pass depends on the edges over the rate alone, and rates
+    # far above any ECG's but under the bound still design it
+    for order, fs in ((4, 1e70), (2, 1e150), (8, 1e37)):
+        ref = design_butterworth_bandpass(order, 30.0, 60.0, 300.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c = design_butterworth_bandpass(order, 0.1 * fs, 0.2 * fs, fs)
+        assert np.allclose(c.numerator, ref.numerator, rtol=1e-9, atol=1e-12)
+        assert np.allclose(c.denominator, ref.denominator, rtol=1e-9)
+
+
 def test_design_normalized_and_sized():
     c = design_butterworth_bandpass(4, 0.5, 40.0, 300.0)
     assert c.denominator[0] == 1.0
@@ -175,6 +211,14 @@ def test_filtering_rejects_non_finite_samples(entry):
             y[where] = bad
             with pytest.raises(NonFiniteSample, match="NaN or infinite"):
                 FILTER_ENTRIES[entry](y)
+
+
+@pytest.mark.parametrize("entry", sorted(FILTER_ENTRIES))
+def test_filtering_rejects_a_signal_that_is_not_numeric(entry):
+    # these raised a raw ValueError and TypeError from np.asarray
+    for x in (["a"] * 100, [object()] * 100, [[1.0, 2.0], [3.0]]):
+        with pytest.raises(InvariantViolation, match="need a numeric signal"):
+            FILTER_ENTRIES[entry](x)
 
 
 def test_zero_phase_linearity():

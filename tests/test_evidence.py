@@ -81,3 +81,47 @@ def test_rounds_regex_reads_each_workload_round_line(evidence):
     found = evidence.ROUNDS.findall(stderr)
     assert [(name, len(r.split(","))) for name, r in found] == [
         ("paper_replication", 2), ("method_survey", 3)]
+
+
+def _traced(values, correct=True):
+    return {"correct": correct, "attempted": 20, "failed": 0,
+            "metrics": {m: {"value": v, "unit": "s" if m.endswith("_s")
+                            else "count"} for m, v in values.items()}}
+
+
+def test_layers_pair_each_traced_metric_of_the_two_checkouts(evidence):
+    traced = {
+        "parent": {"w": _traced({"classify.svm_decision_values_s": 2.3,
+                                 "classify.support_vectors": 7}),
+                   "v": _traced({"trace.overhead_s": 0.1})},
+        "change": {"w": _traced({"classify.svm_decision_values_s": 1.4,
+                                 "classify.support_vectors": 7,
+                                 "bench.new_layer_s": 0.2})}}
+    layers = evidence._layers(traced)
+    assert layers["w"] == {
+        "bench.new_layer_s": {"unit": "s", "parent": None, "change": 0.2},
+        "classify.support_vectors": {"unit": "count", "parent": 7,
+                                     "change": 7},
+        "classify.svm_decision_values_s": {"unit": "s", "parent": 2.3,
+                                           "change": 1.4}}
+    # a workload only the parent traced keeps its values beside None
+    assert layers["v"] == {
+        "trace.overhead_s": {"unit": "s", "parent": 0.1, "change": None}}
+
+
+def test_run_passes_the_trace_flag_and_reads_the_last_line(evidence,
+                                                          monkeypatch):
+    calls = []
+
+    def fake_run(cmd, **kwargs):
+        calls.append(cmd)
+        out = '{"w": {"correct": true, "attempted": 1, "failed": 0, ' \
+              '"metrics": {}}}'
+        return type("P", (), {"stdout": "table\n" + out + "\n",
+                              "stderr": ""})()
+
+    monkeypatch.setattr(evidence.subprocess, "run", fake_run)
+    assert evidence._run("/checkout", trace=1)["w"]["correct"] is True
+    assert calls[-1][-2:] == ["--trace", "1"]
+    evidence._run("/checkout")
+    assert calls[-1][-2:] == ["--trace", "0"]

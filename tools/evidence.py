@@ -27,6 +27,10 @@ rounds gets a warning on stderr: there a second round adds about 29 MB to
 rounds, which differ between the sides in most pairs, and no metric of
 theirs is known to step with the count, so their counts are only recorded.
 
+Step 3, layers (about 3 minutes). One traced run, `python3 perfbench/run.py
+--trace 1 --seconds 15 --seed 0`, in each checkout, so that a claim's
+per-layer evidence comes with its pairs.
+
 The output file holds `description`, `parent_commit` (the base's git HEAD,
 or null), `change_tree` (the git tree of this checkout's files as `git add
 -A` would stage them, or null), `nproc`, `python`, `numpy`, `blas`;
@@ -34,13 +38,15 @@ or null), `change_tree` (the git tree of this checkout's files as `git add
 `failed` counts and round counts, and per end-to-end metric each side's
 median and quartiles, the pairs each side won, the ratio of the medians and
 whether their gap exceeds the base's spread between quartiles; `pairs`:
-every raw run with its round count; and `same_bytes`: step 1's results,
-with `identical` true when the reports and the CLI files are the same.
+every raw run with its round count; `layers`: per workload, each per-layer
+metric of step 3 with its unit and the parent's and the change's value;
+and `same_bytes`: step 1's results, with `identical` true when the reports
+and the CLI files are the same.
 
 A difference in step 1 does not stop the pairs. Exits 0 when the outputs
-are identical and every run was correct, 1 when the outputs differ or a run
-was not correct, and 2 when a checkout's workload failed or a run gave no
-result.
+are identical and every run, traced ones included, was correct, 1 when the
+outputs differ or a run was not correct, and 2 when a checkout's workload
+failed or a run gave no result.
 """
 
 import argparse
@@ -285,11 +291,11 @@ def _blas():
         return "unknown"
 
 
-def _run(checkout):
+def _run(checkout, trace=0):
     """One perfbench run: {workload: result with its `rounds`}, or None."""
     proc = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"), "--seconds",
-         str(SECONDS), "--seed", str(SEED)],
+         str(SECONDS), "--seed", str(SEED), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True)
     try:
         results = json.loads(proc.stdout.strip().split("\n")[-1])
@@ -326,6 +332,22 @@ def _summary(pairs, name):
             "ratio_of_medians": c["median"] / b["median"],
             "median_gap_exceeds_parent_iqr":
                 abs(c["median"] - b["median"]) > b["q3"] - b["q1"]}
+    return out
+
+
+def _layers(traced):
+    """Step 3's per-layer metrics: {workload: {metric: {"unit", "parent",
+    "change"}}}, where a side that lacks the metric reads None."""
+    out = {}
+    for name in traced["parent"]:
+        runs = {s: traced[s].get(name, {}).get("metrics", {}) for s in traced}
+        out[name] = {}
+        for metric in sorted(set().union(*runs.values())):
+            got = {s: runs[s].get(metric) for s in runs}
+            out[name][metric] = {"unit": next(m["unit"] for m in got.values()
+                                              if m)}
+            out[name][metric].update((s, m["value"] if m else None)
+                                     for s, m in got.items())
     return out
 
 
@@ -380,6 +402,15 @@ def main(argv=None):
     pairs = _pairs(checkouts)
     if pairs is None:
         return 2
+    traced = {}
+    for side in ("parent", "change"):
+        t0 = time.monotonic()
+        traced[side] = _run(checkouts[side], trace=1)
+        print("traced run, %s: %s in %.0f s"
+              % (side, "no result" if traced[side] is None else "done",
+                 time.monotonic() - t0), file=sys.stderr)
+        if traced[side] is None:
+            return 2
     result = {
         "description": (
             "%d alternating parent/change pairs of `python3 perfbench/run.py"
@@ -387,7 +418,8 @@ def main(argv=None):
             "tools/evidence.py. Even pairs ran the parent first. "
             "Quartiles are numpy's linear 25th and 75th percentiles. A win "
             "is a pair where that side's value is lower; ties count for "
-            "neither side." % (PAIRS, SECONDS, SEED)),
+            "neither side. `layers` holds one run with `--trace 1` per side."
+            % (PAIRS, SECONDS, SEED)),
         "parent_commit": _git(checkouts["parent"], "rev-parse", "HEAD"),
         "change_tree": _work_tree(ROOT),
         "nproc": len(os.sched_getaffinity(0)),
@@ -397,6 +429,7 @@ def main(argv=None):
         "workloads": {name: _summary(pairs, name)
                       for name in pairs[0]["parent"]},
         "pairs": pairs,
+        "layers": _layers(traced),
         "same_bytes": same,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -411,9 +444,11 @@ def main(argv=None):
                       m["parent"]["q3"], m["change"]["median"],
                       m["change"]["q1"], m["change"]["q3"], m["change_wins"],
                       len(pairs)))
-    correct = all(w[s + "_runs"]["correct"]
-                  for w in result["workloads"].values()
-                  for s in ("parent", "change"))
+    correct = (all(w[s + "_runs"]["correct"]
+                   for w in result["workloads"].values()
+                   for s in ("parent", "change"))
+               and all(r["correct"] for t in traced.values()
+                       for r in t.values()))
     return 0 if correct and same["identical"] else 1
 
 
