@@ -204,7 +204,7 @@ def _split_indices(n, protocol):
 
 
 def _conditions(protocol):
-    if protocol not in PROTOCOL_CONDITIONS:
+    if not (isinstance(protocol, str) and protocol in PROTOCOL_CONDITIONS):
         raise InvariantViolation("unknown protocol %r (one of %s)"
                                  % (protocol, ", ".join(PROTOCOLS)))
     return PROTOCOL_CONDITIONS[protocol]
@@ -387,12 +387,6 @@ class FittedState:
 def fit_pipeline_state(train, config, selection=None):
     """Fit z-score, PCA, and the classifier on training rows only."""
     return _transform(FittedState(config, selection), train, fit=True)[0]
-
-
-def predict_with_state(state, m):
-    """Apply the fitted z-score and PCA stages (selection is applied per
-    record before splitting), then classify."""
-    return _classify_rows(*_transform(state, m))
 
 
 def _transform(state, m, fit=False, out=None):
@@ -615,8 +609,9 @@ def sweep_top_n(manifest_path, config, protocol, seed, top_n_values,
 def render_report(reports, fmt="csv"):
     """Render reports as CSV or a Markdown table through render_rows;
     accuracies print as percentages with one decimal."""
-    if not reports:
-        raise InvariantViolation("no reports to render")
+    if not (isinstance(reports, (list, tuple)) and reports and all(
+            isinstance(r, ExperimentReport) for r in reports)):
+        raise InvariantViolation("no reports to render: need a list of them")
     rows = [(r.pipeline, r.protocol, "%.1f%%" % (100.0 * r.train_accuracy),
              "%.1f%%" % (100.0 * r.test_accuracy), str(r.n_subjects),
              str(r.train_beats), str(r.test_beats), str(r.skipped_beats),

@@ -23,7 +23,7 @@ from .errors import (
 
 ALPHA_EPS = 1e-12
 TAU = 1e-12  # floor on the pair curvature a, as in LIBSVM
-BLOCK_ROWS = 256  # rows per block of the kernel's norm, exp and mirror steps
+BLOCK_ROWS = 256  # rows per block of the kernel's norm and exp steps
 MAX_EPOCHS = 200  # SMO makes at most MAX_EPOCHS * n pair updates on n rows
 EXP_UNDERFLOW = 746.0  # exp(-x) is 0.0 for x > 1075 ln 2 = 745.13
 
@@ -90,20 +90,18 @@ def _rbf_in_place(ab, na, nb, gamma, scratch):
 def rbf_gram(x, gamma):
     """Symmetric train Gram: K[i,j] == K[j,i] and K[i,i] == 1 exactly.
 
-    Only the upper triangle of x @ x.T becomes kernel values, a block of
-    rows at a time; its strict part is copied onto the lower one.
+    Every row of x @ x.T becomes kernel values, a block of rows at a time:
+    numpy's x @ x.T of a C-ordered x is symmetric bit for bit, as is the
+    kernel step (na_i + nb_j and nb_j + na_i round alike).
     """
-    x = np.asarray(x, float)
+    x = np.ascontiguousarray(x, float)
     norms = _row_norms(x)  # first: for wide rows its temporary outweighs k
     k = x @ x.T
     scratch = np.empty((min(len(k), BLOCK_ROWS), len(k)))
     for r in range(0, len(k), BLOCK_ROWS):
-        blk = k[r:r + BLOCK_ROWS, r:]
-        _rbf_in_place(blk, norms[r:r + BLOCK_ROWS], norms[r:], gamma,
-                      scratch[:len(blk), r:])
-        k[r:r + BLOCK_ROWS, :r] = k[:r, r:r + BLOCK_ROWS].T
-        low = np.tril_indices(len(blk), -1)  # inside the diagonal block
-        blk[low] = blk.T[low]
+        blk = k[r:r + BLOCK_ROWS]
+        _rbf_in_place(blk, norms[r:r + BLOCK_ROWS], norms, gamma,
+                      scratch[:len(blk)])
     np.fill_diagonal(k, 1.0)
     return k
 

@@ -21,8 +21,8 @@ BAND_HZ = (0.5, 40.0)
 class FilterCoefficients:
     """Digital IIR transfer function b(z)/a(z) of band-pass order ``order``.
 
-    Invariants checked on construction: a[0] is exactly 1 and every pole
-    lies strictly inside the unit circle (radius < 1 - 1e-8).
+    Invariants checked on construction: finite taps, a nonzero numerator,
+    a[0] exactly 1 and every pole at radius < 1 - 1e-8.
     """
 
     numerator: np.ndarray
@@ -34,8 +34,8 @@ class FilterCoefficients:
         a = np.asarray(self.denominator, dtype=float)
         object.__setattr__(self, "numerator", b)
         object.__setattr__(self, "denominator", a)
-        if not (np.isfinite(b).all() and np.isfinite(a).all()):
-            raise InvalidBand("coefficients must be finite")
+        if not (np.isfinite(b).all() and np.isfinite(a).all() and b.any()):
+            raise InvalidBand("coefficients must be finite, b not all zero")
         if a[0] != 1.0:
             raise InvalidBand("denominator must be normalized to a[0] = 1")
         roots = np.roots(a)
@@ -114,7 +114,7 @@ def filter_zero_phase(coeffs, x):
     """
     try:
         x = np.asarray(x, dtype=float)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise InvariantViolation("need a numeric signal: %s" % e) from None
     if x.ndim != 1:
         raise InvariantViolation("need a 1-D signal, got %d-D" % x.ndim)

@@ -250,23 +250,24 @@ def build_cohort(n_subjects, seed, rest_duration_s=300.0, ex_duration_s=150.0,
 # ===== text files =========================================================
 
 def _read_text(path):
-    """Whole UTF-8 text file; an unreadable file raises IoFailure."""
+    """Whole UTF-8 text file. An unreadable file, or a path that is not one
+    (open() would take an int for a descriptor), raises IoFailure."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(os.fspath(path), "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
-        raise IoFailure("cannot read %s: %s" % (path, exc)) from exc
     except UnicodeDecodeError as exc:
         raise MalformedFile("%s: not UTF-8 text: %s" % (path, exc)) from exc
+    except (OSError, TypeError, ValueError) as exc:  # ValueError: a NUL
+        raise IoFailure("cannot read %s: %s" % (path, exc)) from exc
 
 
 def _write_lines(path, lines):
-    """Write each line with a newline ending; an OS failure raises IoFailure."""
+    """Write each line with a newline ending; failures raise as _read_text's."""
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with open(os.fspath(path), "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines))
             fh.write("\n")
-    except OSError as exc:
+    except (OSError, TypeError, ValueError) as exc:
         raise IoFailure("cannot write %s: %s" % (path, exc)) from exc
 
 

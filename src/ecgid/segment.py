@@ -50,7 +50,10 @@ def _in_dt_table(hr_bpm):
 def dt_threshold(hr_bpm):
     """PQ-start shift in milliseconds as a piecewise-constant lookup of a
     heart rate, or of an array of them."""
-    hr = np.asarray(hr_bpm, dtype=float)
+    try:
+        hr = np.asarray(hr_bpm, dtype=float)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise InvariantViolation("need a numeric heart rate: %s" % e) from None
     outside = ~_in_dt_table(hr)
     if np.any(outside):
         raise OutOfTable("heart rate %g bpm outside table domain [30, 155)"

@@ -30,7 +30,6 @@ from ecgid.bench import (
     fit_pipeline_state,
     parse_config,
     parse_report_csv,
-    predict_with_state,
     render_report,
     render_rows,
     run_pipeline,
@@ -306,6 +305,10 @@ def test_split_unknown_protocol():
     m = toy_matrix([("s00", "rest", 30)])
     with pytest.raises(InvariantViolation):
         split_protocol(m, "kfold")
+    # an unhashable protocol raised a raw TypeError from the table lookup
+    for protocol in (np.array([]), ["rest_rest"]):
+        with pytest.raises(InvariantViolation, match="unknown protocol"):
+            split_protocol(m, protocol)
 
 
 # (subject, condition, rows): s01's 8 rest rows cut to 5 train rows, s02
@@ -421,10 +424,10 @@ def test_run_fits_and_predicts_through_the_public_path(small_manifest, cfg,
     split = split_protocol(matrix, protocol)
     before = [m.values.copy() for m in (matrix, split.train, split.test)]
     state = fit_pipeline_state(split.train, cfg)
-    train_pred = predict_with_state(state, split.train)
-    test_pred = predict_with_state(state, split.test)
-    # the run z-scores its own stacks in place; the public path writes to
-    # none of its caller's rows, and no run writes to the cached rows
+    train_pred, test_pred = (bench._classify_rows(*bench._transform(state, m))
+                             for m in (split.train, split.test))
+    # the run z-scores its own stacks in place; the fit and the transform
+    # write to no caller's rows, and no run writes to the cached rows
     assert run_pipeline(small_manifest, cfg, protocol, 1, cache) == report
     after = (matrix, split.train, split.test,
              cohort_matrix(small_manifest, cfg, protocol, 1, cache)[0])
@@ -889,6 +892,10 @@ def test_render_report_markdown():
 def test_render_report_validations():
     with pytest.raises(InvariantViolation):
         render_report([], "csv")
+    # these raised a raw AttributeError, TypeError and ValueError
+    for reports in ("abc", 1.5, np.array([]), [fake_report(), None]):
+        with pytest.raises(InvariantViolation, match="no reports to render"):
+            render_report(reports, "csv")
     with pytest.raises(InvariantViolation):
         render_report([fake_report()], "html")
     with pytest.raises(InvariantViolation, match="csv or markdown"):

@@ -97,6 +97,15 @@ def test_squared_distances_non_negative():
 BLOCK_EDGE_ROWS = [1, 255, 256, 257, 513]
 
 
+def memory_layouts(x):
+    """x as a C-ordered, an F-ordered, a column-strided and a row-strided
+    array, one at a time."""
+    yield x
+    yield np.asfortranarray(x)
+    yield np.repeat(x, 2, axis=1)[:, ::2]
+    yield np.repeat(x, 2, axis=0)[::2]
+
+
 @pytest.mark.parametrize("width", [1, 30, 10252])
 def test_kernel_is_bit_identical_to_reference(width):
     rng = np.random.default_rng(width)
@@ -106,9 +115,18 @@ def test_kernel_is_bit_identical_to_reference(width):
         a, b = x[:n], x[-m:]
         assert np.array_equal(squared_distances(a, b),
                               kernel_oracle.squared_distances(a, b))
+    # the oracle mirrors its upper triangle; rbf_gram's exact symmetry
+    # rests on x @ x.T of a C-ordered x, which a column-strided x lacks.
+    # The oracle's own bits move with the layout, so every layout is held
+    # to the oracle on the C-ordered rows.
+    for n in BLOCK_EDGE_ROWS:
         for gamma in (1.0, 1.0 / width):
-            assert np.array_equal(rbf_gram(a, gamma),
-                                  kernel_oracle.rbf_gram(a, gamma))
+            ref = kernel_oracle.rbf_gram(x[:n], gamma)
+            for layout in memory_layouts(x[:n]):
+                k = rbf_gram(layout, gamma)
+                assert np.array_equal(k, k.T)
+                assert np.array_equal(np.diag(k), np.ones(n))
+                assert np.array_equal(k, ref)
 
 
 def decision_problem(width, kind):

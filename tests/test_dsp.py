@@ -100,6 +100,18 @@ def test_design_rejects_non_finite_coefficients(order, fs):
             design_butterworth_bandpass(order, 0.4 * fs, 0.4999 * fs, fs)
 
 
+def test_design_rejects_an_all_zero_numerator():
+    # a rate under the bound whose gain underflows: the design came back
+    # with taps [0, 0, -0], a filter that passes nothing
+    fs = 4.14e153
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(InvalidBand, match="b not all zero"):
+            design_butterworth_bandpass(2, 0.2 * fs, 0.3 * fs, fs)
+    with pytest.raises(InvalidBand, match="b not all zero"):
+        FilterCoefficients(np.zeros(3), np.array([1.0, 0.0, 0.25]), 2)
+
+
 def test_design_scales_with_the_rate_up_to_the_bound():
     # the band-pass depends on the edges over the rate alone, and rates
     # far above any ECG's but under the bound still design it
@@ -215,8 +227,10 @@ def test_filtering_rejects_non_finite_samples(entry):
 
 @pytest.mark.parametrize("entry", sorted(FILTER_ENTRIES))
 def test_filtering_rejects_a_signal_that_is_not_numeric(entry):
-    # these raised a raw ValueError and TypeError from np.asarray
-    for x in (["a"] * 100, [object()] * 100, [[1.0, 2.0], [3.0]]):
+    # these raised a raw ValueError, TypeError and OverflowError from
+    # np.asarray
+    for x in (["a"] * 100, [object()] * 100, [[1.0, 2.0], [3.0]],
+              [10**400] * 100):
         with pytest.raises(InvariantViolation, match="need a numeric signal"):
             FILTER_ENTRIES[entry](x)
 

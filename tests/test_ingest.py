@@ -22,6 +22,7 @@ from ecgid.errors import (
     NonFiniteSample,
     TooShort,
 )
+from ecgid.features import load_feature_matrix
 from ecgid.ingest import (
     CONDITIONS,
     DatasetManifest,
@@ -340,6 +341,27 @@ def test_loaders_report_unreadable_files(tmp_path):
     binary.write_bytes(b"fs=300\n\xff\xfe\n")
     with pytest.raises(MalformedFile, match=r"binary\.txt: not UTF-8"):
         load_record(binary, "s", "rest")
+
+
+def test_path_arguments_are_file_paths():
+    # open() reads an int as a file descriptor, and closes it after
+    rec = EcgRecord("s01", "rest", FS, np.zeros(1000))
+    calls = (load_manifest, lambda p: load_record(p, "s01", "rest"),
+             load_feature_matrix, lambda p: save_record(rec, p))
+    read_fd, write_fd = os.pipe()
+    os.set_blocking(read_fd, False)  # an empty pipe fails a read, not waits
+    try:
+        for call in calls:
+            for path in (read_fd, write_fd, -1, None, 1.5):
+                with pytest.raises(IoFailure, match="expected str, bytes"):
+                    call(path)
+            with pytest.raises(IoFailure, match="null"):
+                call("nul\0byte.txt")
+            os.fstat(read_fd)  # raises OSError once a descriptor is closed
+            os.fstat(write_fd)
+    finally:
+        os.close(read_fd)
+        os.close(write_fd)
 
 
 def per_line_float_load(path):

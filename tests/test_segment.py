@@ -129,6 +129,13 @@ def test_dt_threshold_all_bracket_boundaries():
         dt_threshold(29.9)
 
 
+def test_dt_threshold_rejects_a_rate_that_is_not_a_number():
+    # these raised a raw OverflowError, ValueError and TypeError
+    for hr in (10**400, "a", object(), [70.0, "a"]):
+        with pytest.raises(InvariantViolation, match="numeric heart rate"):
+            dt_threshold(hr)
+
+
 def test_dt_threshold_monotone():
     grid = np.linspace(30, 154.99, 500)
     vals = [dt_threshold(h) for h in grid]
